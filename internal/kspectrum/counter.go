@@ -1,7 +1,7 @@
 package kspectrum
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/seq"
 )
@@ -16,7 +16,8 @@ import (
 // A slot is occupied iff its count is non-zero, which is sound because
 // increments are always positive; the kmer 0 (AAA…A) therefore needs no
 // sentinel. The table grows at 3/4 load by rehashing into double the
-// capacity.
+// capacity — unless it is used through tryInc, which keeps the capacity
+// fixed and leaves the decision of what to do when full to the caller.
 type Counter struct {
 	keys []seq.Kmer
 	vals []uint32
@@ -55,6 +56,19 @@ func NewCounter(hint int) *Counter {
 	return c
 }
 
+// newCounterWithin returns an empty counter with the largest power-of-two
+// capacity whose footprint fits in bytes, floored at minCounterSlots. It
+// is the fixed-capacity table an out-of-core shard fills through tryInc.
+func newCounterWithin(bytes int64) *Counter {
+	slots := minCounterSlots
+	for int64(2*slots)*counterSlotBytes <= bytes {
+		slots *= 2
+	}
+	c := &Counter{}
+	c.alloc(slots)
+	return c
+}
+
 func (c *Counter) alloc(slots int) {
 	c.keys = make([]seq.Kmer, slots)
 	c.vals = make([]uint32, slots)
@@ -76,28 +90,37 @@ func mix(x uint64) uint64 {
 // Len returns the number of distinct keys.
 func (c *Counter) Len() int { return c.n }
 
-// Inc adds delta (> 0) to km's count, inserting it if absent. Counts
+// Inc adds delta (> 0) to km's count, inserting it if absent and growing
+// the table when the insert would cross the load threshold. Counts
 // saturate at MaxUint32 instead of wrapping: a wrap to 0 would read as an
 // empty slot and structurally corrupt the table (the map it replaced
 // merely wrapped the value), and at ~4 billion occurrences the count has
 // long stopped carrying information anyway.
 func (c *Counter) Inc(km seq.Kmer, delta uint32) {
+	if !c.tryInc(km, delta) {
+		c.rehash()
+		c.tryInc(km, delta)
+	}
+}
+
+// tryInc is Inc without growth: when km is absent and inserting it would
+// cross the 3/4 load threshold it changes nothing and reports false. A
+// delta of 0 is a no-op that reports true.
+func (c *Counter) tryInc(km seq.Kmer, delta uint32) bool {
 	if delta == 0 {
-		return
+		return true
 	}
 	mask := uint64(len(c.keys) - 1)
 	i := mix(uint64(km)) & mask
 	for {
 		if c.vals[i] == 0 {
 			if c.n >= c.grow {
-				c.rehash()
-				c.Inc(km, delta)
-				return
+				return false
 			}
 			c.keys[i] = km
 			c.vals[i] = delta
 			c.n++
-			return
+			return true
 		}
 		if c.keys[i] == km {
 			if v := c.vals[i]; delta > ^uint32(0)-v {
@@ -105,10 +128,17 @@ func (c *Counter) Inc(km seq.Kmer, delta uint32) {
 			} else {
 				c.vals[i] = v + delta
 			}
-			return
+			return true
 		}
 		i = (i + 1) & mask
 	}
+}
+
+// Reset empties the table in place, keeping its capacity.
+func (c *Counter) Reset() {
+	clear(c.keys)
+	clear(c.vals)
+	c.n = 0
 }
 
 // Get returns km's count (0 if absent).
@@ -148,10 +178,11 @@ func (c *Counter) rehash() {
 // the two parallel slices and returns them — the extraction step of the
 // sharded Build, replacing the map-iterate-then-sort path. Keys are sorted
 // alone and the counts re-fetched by O(1) probe: measurably faster than
-// dragging the counts through the sort in lockstep, because sort.Slice
-// keeps the 8-byte key swaps on its optimized path while a paired
-// sort.Interface pays a dispatched double swap per exchange (~1.6× slower
-// end-to-end on the serial spectrum build).
+// dragging the counts through the sort in lockstep, which needs a paired
+// sort.Interface and pays a dispatched double swap per exchange (~1.6×
+// slower end-to-end on the serial spectrum build). The keys go through the
+// generic slices.Sort, whose comparisons compile to plain integer compares
+// (profiled: about a third less sort time than sort.Slice's closure calls).
 func (c *Counter) AppendSortedInto(kmers []seq.Kmer, counts []uint32) ([]seq.Kmer, []uint32) {
 	kstart := len(kmers)
 	for i, v := range c.vals {
@@ -160,7 +191,7 @@ func (c *Counter) AppendSortedInto(kmers []seq.Kmer, counts []uint32) ([]seq.Kme
 		}
 	}
 	added := kmers[kstart:]
-	sort.Slice(added, func(a, b int) bool { return added[a] < added[b] })
+	slices.Sort(added)
 	for _, km := range added {
 		counts = append(counts, c.Get(km))
 	}
@@ -187,6 +218,7 @@ func ApproxAccumulatorBytes(n int) int64 {
 // occurrences). A slot is occupied iff Oc is non-zero — every insertion
 // increments Oc, so the invariant holds.
 type tileCounter struct {
+	mask uint64 // len(keys) - 1
 	keys []seq.Kmer
 	oc   []uint32
 	og   []uint32
@@ -201,6 +233,7 @@ func newTileCounter() *tileCounter {
 }
 
 func (tc *tileCounter) alloc(slots int) {
+	tc.mask = uint64(slots - 1)
 	tc.keys = make([]seq.Kmer, slots)
 	tc.oc = make([]uint32, slots)
 	tc.og = make([]uint32, slots)
@@ -247,17 +280,12 @@ func (tc *tileCounter) add(tile seq.Kmer, hq bool) {
 
 // get returns the tile's counts (zero counts if unseen).
 func (tc *tileCounter) get(tile seq.Kmer) TileCount {
-	mask := uint64(len(tc.keys) - 1)
-	i := mix(uint64(tile)) & mask
-	for {
-		if tc.oc[i] == 0 {
-			return TileCount{}
-		}
+	for i := mix(uint64(tile)) & tc.mask; tc.oc[i] != 0; i = (i + 1) & tc.mask {
 		if tc.keys[i] == tile {
 			return TileCount{Oc: tc.oc[i], Og: tc.og[i]}
 		}
-		i = (i + 1) & mask
 	}
+	return TileCount{}
 }
 
 func (tc *tileCounter) rehash() {

@@ -105,6 +105,41 @@ func TestCounterSaturatesAtMaxUint32(t *testing.T) {
 	}
 }
 
+// TestCounterTryIncFixedCapacity pins the fixed-capacity contract the
+// out-of-core shards rely on: tryInc fills the table to its load threshold
+// and then refuses new keys without changing anything (existing keys still
+// count), and Reset empties it without changing its capacity.
+func TestCounterTryIncFixedCapacity(t *testing.T) {
+	c := newCounterWithin(1000 * counterSlotBytes) // 512 slots, threshold 384
+	if got := c.ResidentBytes(); got != 512*counterSlotBytes {
+		t.Fatalf("ResidentBytes %d want %d", got, 512*counterSlotBytes)
+	}
+	for i := 0; i < 384; i++ {
+		if !c.tryInc(seq.Kmer(i), 1) {
+			t.Fatalf("tryInc refused key %d below the load threshold", i)
+		}
+	}
+	if c.tryInc(seq.Kmer(384), 1) {
+		t.Fatal("tryInc inserted past the load threshold")
+	}
+	if !c.tryInc(seq.Kmer(7), 2) || c.Get(7) != 3 {
+		t.Fatalf("full table must still count present keys: Get(7) = %d", c.Get(7))
+	}
+	if c.Len() != 384 || c.Get(384) != 0 || c.ResidentBytes() != 512*counterSlotBytes {
+		t.Fatalf("refused insert changed the table: len %d, Get(384) %d", c.Len(), c.Get(384))
+	}
+	c.Reset()
+	if c.Len() != 0 || c.Get(7) != 0 || c.ResidentBytes() != 512*counterSlotBytes {
+		t.Fatalf("Reset: len %d, Get(7) %d, %d bytes", c.Len(), c.Get(7), c.ResidentBytes())
+	}
+	if !c.tryInc(seq.Kmer(384), 1) || c.Get(384) != 1 {
+		t.Fatal("tryInc after Reset")
+	}
+	if got := newCounterWithin(0).ResidentBytes(); got != minCounterSlots*counterSlotBytes {
+		t.Fatalf("tiny budget: %d bytes want the %d-slot floor", got, minCounterSlots)
+	}
+}
+
 // mixSlot locates km's slot in a tileCounter (test helper).
 func mixSlot(tc *tileCounter, km seq.Kmer) uint64 {
 	mask := uint64(len(tc.keys) - 1)
@@ -166,75 +201,6 @@ func TestCounterSpectrumMatchesMapReference(t *testing.T) {
 					spectraEqual(t, want, goc, "out-of-core vs map reference")
 				}
 			}
-		}
-	}
-}
-
-// TestTileSetMatchesMapReference compares the tileCounter-backed TileSet
-// against a map[seq.Kmer]TileCount reference following the identical
-// traversal (both strands, reversed qualities, high-quality test).
-func TestTileSetMatchesMapReference(t *testing.T) {
-	reads := randomReads(t, 800)
-	const k, overlap = 8, 3
-	const qc = 25
-	ts, err := CountTiles(reads, k, overlap, qc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := map[seq.Kmer]TileCount{}
-	tileLen := 2*k - overlap
-	addStrand := func(bases, qual []byte) {
-		ForEachKmer(bases, tileLen, func(tile seq.Kmer, pos int) {
-			tc := ref[tile]
-			tc.Oc++
-			hq := true
-			if qual != nil {
-				for i := pos; i < pos+tileLen; i++ {
-					if qual[i] < qc {
-						hq = false
-						break
-					}
-				}
-			}
-			if hq {
-				tc.Og++
-			}
-			ref[tile] = tc
-		})
-	}
-	for _, r := range reads {
-		addStrand(r.Seq, r.Qual)
-		rcSeq := seq.ReverseComplement(r.Seq)
-		var rcQual []byte
-		if r.Qual != nil {
-			rcQual = make([]byte, len(r.Qual))
-			for i, q := range r.Qual {
-				rcQual[len(r.Qual)-1-i] = q
-			}
-		}
-		addStrand(rcSeq, rcQual)
-	}
-	if ts.Size() != len(ref) {
-		t.Fatalf("size %d, reference %d", ts.Size(), len(ref))
-	}
-	for tile, want := range ref {
-		if got := ts.Get(tile); got != want {
-			t.Fatalf("tile %v: got %+v want %+v", tile, got, want)
-		}
-	}
-	// Histograms agree too (iteration-order independent).
-	wantHist := make([]int, 9)
-	for _, tc := range ref {
-		idx := int(tc.Og)
-		if idx > 8 {
-			idx = 8
-		}
-		wantHist[idx]++
-	}
-	gotHist := ts.OgHistogram(8)
-	for i := range wantHist {
-		if gotHist[i] != wantHist[i] {
-			t.Fatalf("OgHistogram[%d] = %d want %d", i, gotHist[i], wantHist[i])
 		}
 	}
 }

@@ -3,6 +3,7 @@ package kspectrum
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/seq"
 )
@@ -49,8 +50,14 @@ const chunkSize = 512
 // of kmer space with its own lock, so concurrent writers only contend when
 // flushing into the same range. Counting goes through the open-addressing
 // Counter rather than a Go map — see counter.go.
+//
+// Chunks flush into a shard in the order they were handed out: turn is
+// the flush turn the shard is waiting for, and cond (on mu) wakes the
+// workers queued behind it.
 type countShard struct {
 	mu     sync.Mutex
+	cond   sync.Cond
+	turn   int64
 	counts *Counter
 }
 
@@ -66,11 +73,16 @@ type SpectrumBuilder struct {
 	workers     int
 	part        PrefixPartition
 	shards      []countShard
+	// turns counts the chunks handed out so far; each chunk's index in
+	// that sequence is its flush turn.
+	turns atomic.Int64
 
-	// onFlush, when set, is invoked after each buffer flush while the
-	// shard's stripe lock is still held. It is the out-of-core hook: the
-	// StreamBuilder spills oversized accumulators from here (see stream.go).
-	onFlush func(s int, shard *countShard)
+	// onFull, when set, is invoked with the shard's stripe lock held just
+	// before an insert that would make its Counter rehash. It is the
+	// out-of-core hook: the StreamBuilder spills the full table to a run
+	// and Resets it from here (see stream.go). A table the hook leaves
+	// full grows as it would without the hook.
+	onFull func(s int, shard *countShard)
 }
 
 // NewSpectrumBuilder validates k and prepares an empty accumulator. An
@@ -94,6 +106,7 @@ func NewSpectrumBuilder(k int, bothStrands bool, opts ...BuildOptions) (*Spectru
 		shards:      make([]countShard, part.Shards()),
 	}
 	for i := range sb.shards {
+		sb.shards[i].cond.L = &sb.shards[i].mu
 		sb.shards[i].counts = NewCounter(0)
 	}
 	return sb, nil
@@ -102,28 +115,73 @@ func NewSpectrumBuilder(k int, bothStrands bool, opts ...BuildOptions) (*Spectru
 // Add merges one chunk of reads into the accumulator, fanning large chunks
 // out to the builder's counting workers. It may be called concurrently.
 func (sb *SpectrumBuilder) Add(reads []seq.Read) {
-	if sb.workers == 1 || len(reads) < 2*chunkSize {
-		// Still chunked so scatter buffers stay cache-sized.
+	n := int64((len(reads) + chunkSize - 1) / chunkSize)
+	first := sb.turns.Add(n) - n
+	countChunks(reads, sb.workers, func() func([]seq.Read, int) {
 		buf := make([][]seq.Kmer, len(sb.shards))
-		for lo := 0; lo < len(reads); lo += chunkSize {
-			sb.countChunk(reads[lo:min(lo+chunkSize, len(reads))], buf)
+		return func(chunk []seq.Read, i int) { sb.countChunk(chunk, buf, first+int64(i)) }
+	})
+}
+
+// windowsIn counts the length-k windows of reads' sequences: an upper
+// bound on the kmers (or tiles) one strand of them yields.
+func windowsIn(reads []seq.Read, k int) int {
+	n := 0
+	for _, r := range reads {
+		n += max(0, len(r.Seq)-k+1)
+	}
+	return n
+}
+
+// resetBuffers empties per-shard scatter buffers that are about to
+// receive about total elements between them, first growing any whose
+// capacity is under an even share plus a quarter. Growing them by append
+// instead would allocate several times their final size, because large
+// slices grow in 1.25× steps.
+func resetBuffers[T any](bufs [][]T, total int) {
+	want := (total + total/4) / len(bufs)
+	for s := range bufs {
+		if cap(bufs[s]) < want {
+			bufs[s] = make([]T, 0, want)
+		} else {
+			bufs[s] = bufs[s][:0]
+		}
+	}
+}
+
+// countChunks feeds reads in chunkSize chunks, each with its index, to
+// counting functions made by newCounter, one per goroutine, so each may
+// own scratch buffers: a single function counts serially when workers is
+// 1 or the input is small (still chunked, so scatter buffers stay
+// cache-sized); otherwise a pool of workers goroutines takes the chunks
+// in index order.
+func countChunks(reads []seq.Read, workers int, newCounter func() func([]seq.Read, int)) {
+	if len(reads) == 0 {
+		return
+	}
+	if workers == 1 || len(reads) < 2*chunkSize {
+		count := newCounter()
+		for i, lo := 0, 0; lo < len(reads); i, lo = i+1, lo+chunkSize {
+			count(reads[lo:min(lo+chunkSize, len(reads))], i)
 		}
 		return
 	}
-	chunks := make(chan []seq.Read, sb.workers)
+	// One chunk index queued per worker keeps every worker fed.
+	chunks := make(chan int, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < sb.workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([][]seq.Kmer, len(sb.shards))
-			for c := range chunks {
-				sb.countChunk(c, buf)
+			count := newCounter()
+			for i := range chunks {
+				lo := i * chunkSize
+				count(reads[lo:min(lo+chunkSize, len(reads))], i)
 			}
 		}()
 	}
-	for lo := 0; lo < len(reads); lo += chunkSize {
-		chunks <- reads[lo:min(lo+chunkSize, len(reads))]
+	for i := 0; i*chunkSize < len(reads); i++ {
+		chunks <- i
 	}
 	close(chunks)
 	wg.Wait()
@@ -133,10 +191,19 @@ func (sb *SpectrumBuilder) Add(reads []seq.Read) {
 // per-shard buffers (reused across chunks, reset here), then flushes each
 // buffer into its striped accumulator under the stripe lock. Buffering
 // keeps the critical section to a tight increment loop.
-func (sb *SpectrumBuilder) countChunk(reads []seq.Read, buf [][]seq.Kmer) {
-	for s := range buf {
-		buf[s] = buf[s][:0]
+//
+// Each shard takes the chunks' flushes strictly in turn order, so it sees
+// the same sequence of kmers however the chunks were spread over workers.
+// The counts would be the same in any order, but an out-of-core table
+// fills, and spills, at a point that depends on the order: in turn order
+// a build writes the same runs on every run. The worker holding the
+// oldest outstanding turn never waits, so the pool always progresses.
+func (sb *SpectrumBuilder) countChunk(reads []seq.Read, buf [][]seq.Kmer, turn int64) {
+	n := windowsIn(reads, sb.k)
+	if sb.bothStrands {
+		n *= 2
 	}
+	resetBuffers(buf, n)
 	for _, r := range reads {
 		ForEachKmer(r.Seq, sb.k, func(km seq.Kmer, _ int) {
 			buf[sb.part.ShardOf(km)] = append(buf[sb.part.ShardOf(km)], km)
@@ -147,17 +214,21 @@ func (sb *SpectrumBuilder) countChunk(reads []seq.Read, buf [][]seq.Kmer) {
 		})
 	}
 	for s := range buf {
-		if len(buf[s]) == 0 {
-			continue
-		}
 		shard := &sb.shards[s]
 		shard.mu.Lock()
+		for shard.turn != turn {
+			shard.cond.Wait()
+		}
 		for _, km := range buf[s] {
-			shard.counts.Inc(km, 1)
+			if !shard.counts.tryInc(km, 1) {
+				if sb.onFull != nil {
+					sb.onFull(s, shard)
+				}
+				shard.counts.Inc(km, 1)
+			}
 		}
-		if sb.onFlush != nil {
-			sb.onFlush(s, shard)
-		}
+		shard.turn++
+		shard.cond.Broadcast()
 		shard.mu.Unlock()
 	}
 }

@@ -2,7 +2,6 @@ package kspectrum
 
 import (
 	"bufio"
-	"container/heap"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -24,9 +23,10 @@ type StreamOptions struct {
 	Build BuildOptions
 	// MemoryBudget caps the resident bytes of the counting accumulators
 	// across all shards; <= 0 means unlimited — nothing is ever spilled.
-	// Each shard gets an equal slice of the budget and compares it against
-	// its Counter's actual table footprint (Counter.ResidentBytes), so the
-	// cap tracks real memory rather than a per-entry estimate.
+	// Each shard gets an equal slice of the budget and a fixed-capacity
+	// Counter sized once to the largest power of two of slots that fits
+	// in it (Counter.ResidentBytes); a full table spills and is reused,
+	// so the tables never grow past the budget.
 	MemoryBudget int64
 	// TempDir is where spilled run files live; "" uses os.TempDir(). A
 	// fresh subdirectory is created per builder and removed by Build/Close.
@@ -58,8 +58,8 @@ type StreamOptions struct {
 	Context context.Context
 }
 
-// minSpillEntries floors the per-shard spill threshold so pathological
-// budgets degrade into many small runs rather than a run per flush.
+// minSpillEntries floors the per-shard table size so pathological budgets
+// degrade into many small runs rather than a run per few inserts.
 const minSpillEntries = 64
 
 // defaultCheckpointEvery is the read interval between automatic durable
@@ -89,9 +89,10 @@ type runInfo struct {
 
 // StreamBuilder is the out-of-core variant of SpectrumBuilder (§2.3's
 // divide-and-merge taken past memory): counting workers scatter kmers into
-// high-bit prefix shards exactly as the in-memory engine does, but any shard
-// whose accumulator exceeds its slice of the MemoryBudget is spilled to a
-// sorted run file in a temp directory and restarts empty. Build merges each
+// high-bit prefix shards exactly as the in-memory engine does, but each
+// shard counts into a fixed-capacity table sized to its slice of the
+// MemoryBudget, and a table about to overflow is spilled to a sorted run
+// file in a temp directory and cleared in place. Build merges each
 // shard's runs with its in-memory residue — the prefix partition keeps shard
 // ranges disjoint and ordered, so the final cross-shard merge is a
 // concatenation — and yields a Spectrum byte-identical to the in-memory
@@ -104,8 +105,8 @@ type StreamBuilder struct {
 	sb *SpectrumBuilder
 	// ctx cancels spill and merge work; never nil.
 	ctx context.Context
-	// spillBytes is the per-shard resident footprint beyond which a flush
-	// spills (0 = never); compared against Counter.ResidentBytes.
+	// spillBytes is the per-shard slice of the MemoryBudget each shard's
+	// fixed-capacity table is sized within (0 = unlimited, never spill).
 	spillBytes int64
 	dir        string
 	// durable marks a checkpointing builder: runs are fsynced, dir is the
@@ -195,9 +196,12 @@ func NewStreamBuilder(k int, bothStrands bool, opts StreamOptions) (*StreamBuild
 	}
 	if st.dir != "" {
 		st.runs = make([][]runInfo, len(sb.shards))
-		if st.spillBytes > 0 {
-			sb.onFlush = st.maybeSpill
+	}
+	if st.spillBytes > 0 {
+		for i := range sb.shards {
+			sb.shards[i].counts = newCounterWithin(st.spillBytes)
 		}
+		sb.onFull = st.spill
 	}
 	if st.durable {
 		if m != nil {
@@ -349,7 +353,7 @@ func (st *StreamBuilder) checkpointLocked() error {
 		st.stats.runs.Add(1)
 		st.stats.entries.Add(ri.entries)
 		st.stats.bytes.Add(ri.bytes)
-		shard.counts = NewCounter(0)
+		shard.counts.Reset()
 		shard.mu.Unlock()
 	}
 	m := &manifest{
@@ -395,15 +399,12 @@ func (st *StreamBuilder) Stats() StreamStats {
 	}
 }
 
-// maybeSpill runs under the shard's stripe lock after each flush: when the
-// accumulator crosses the per-shard threshold it is drained to a sorted run
-// file and restarted empty. I/O errors are recorded once and surfaced by
-// Build; after a failure the engine stops spilling (counting stays correct,
-// memory is no longer bounded).
-func (st *StreamBuilder) maybeSpill(s int, shard *countShard) {
-	if shard.counts.ResidentBytes() < st.spillBytes || shard.counts.Len() == 0 {
-		return
-	}
+// spill runs under the shard's stripe lock when its fixed-capacity table
+// is full: the table is drained to a sorted run file and Reset in place.
+// I/O errors are recorded once and surfaced by Build; after a failure the
+// engine stops spilling and the full table grows instead (counting stays
+// correct, memory is no longer bounded).
+func (st *StreamBuilder) spill(s int, shard *countShard) {
 	// A cancelled build stops investing in spill I/O; the recorded
 	// ctx.Err() surfaces from Build exactly like a spill failure.
 	if err := st.ctx.Err(); err != nil {
@@ -428,7 +429,7 @@ func (st *StreamBuilder) maybeSpill(s int, shard *countShard) {
 	st.stats.runs.Add(1)
 	st.stats.entries.Add(ri.entries)
 	st.stats.bytes.Add(ri.bytes)
-	shard.counts = NewCounter(0)
+	shard.counts.Reset()
 }
 
 // runEntryBytes is the fixed on-disk size of one (kmer, count) record.
@@ -634,38 +635,31 @@ func (st *StreamBuilder) mergeShard(s int) ([]seq.Kmer, []uint32, error) {
 		}
 	}()
 	for _, ri := range runs {
-		f, err := os.Open(ri.path)
+		rs, err := openRunStream(ri.path)
 		if err != nil {
-			return nil, nil, fmt.Errorf("kspectrum: merge: %w", err)
-		}
-		br := bufio.NewReaderSize(faultinject.Reader(faultinject.SiteMerge, f), 1<<16)
-		var hdr [runHeaderLen]byte
-		_, err = io.ReadFull(br, hdr[:])
-		var h runHeader
-		if err == nil {
-			h, err = decodeRunHeader(hdr[:])
-		}
-		if err != nil {
-			f.Close()
 			return nil, nil, fmt.Errorf("kspectrum: merge %s: %w", filepath.Base(ri.path), err)
 		}
-		streams = append(streams, runStream{f: f, br: br, remaining: h.count})
+		streams = append(streams, rs)
 	}
 	if len(kmers) > 0 {
 		streams = append(streams, runStream{memK: kmers, memC: counts})
 	}
+	// srcErr names the source of a failed read: only run files can fail.
+	srcErr := func(src int, err error) error {
+		return fmt.Errorf("kspectrum: merge %s: %w", filepath.Base(runs[src].path), err)
+	}
 
-	h := make(runHeap, 0, len(streams))
+	h := make(mergeHeap, 0, len(streams))
 	for i := range streams {
 		km, c, ok, err := streams[i].next()
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, srcErr(i, err)
 		}
 		if ok {
 			h = append(h, runHead{km: km, count: c, src: i})
 		}
 	}
-	heap.Init(&h)
+	h.init()
 
 	var outK []seq.Kmer
 	var outC []uint32
@@ -678,7 +672,7 @@ func (st *StreamBuilder) mergeShard(s int) ([]seq.Kmer, []uint32, error) {
 				return nil, nil, err
 			}
 		}
-		head := h[0]
+		head := &h[0]
 		if n := len(outK); n > 0 && outK[n-1] == head.km {
 			outC[n-1] += head.count
 		} else {
@@ -687,50 +681,102 @@ func (st *StreamBuilder) mergeShard(s int) ([]seq.Kmer, []uint32, error) {
 		}
 		km, c, ok, err := streams[head.src].next()
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, srcErr(head.src, err)
 		}
 		if ok {
-			h[0] = runHead{km: km, count: c, src: head.src}
-			heap.Fix(&h, 0)
+			head.km, head.count = km, c
 		} else {
-			heap.Pop(&h)
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
+		h.down(0)
 	}
 	return outK, outC, nil
 }
 
+// mergeBufBytes caps the read-block size of one run stream: a whole number
+// of records, about 64 KiB. Smaller runs get a buffer of their own size.
+const mergeBufBytes = (1 << 16) / runEntryBytes * runEntryBytes
+
 // runStream iterates one sorted source: a run file or the in-memory residue.
+// A run file is read a block at a time into the stream's own buffer and
+// its records decoded from there, so advancing a stream allocates nothing.
 // File sources carry the header's record count; hitting end-of-file before
 // it is exhausted is a truncation error, not a clean end.
 type runStream struct {
-	f         *os.File
-	br        *bufio.Reader
+	f *os.File
+	r io.Reader // f behind the fault-injection seam; nil for the residue
+	// remaining counts the records not yet read into buf; buf[off:] holds
+	// the read but undecoded ones.
 	remaining int64
+	buf       []byte
+	off       int
 	memK      []seq.Kmer
 	memC      []uint32
 	pos       int
 }
 
-func (rs *runStream) next() (seq.Kmer, uint32, bool, error) {
-	if rs.br == nil {
+// openRunStream opens a run file and reads its header, leaving the stream
+// at the first record.
+func openRunStream(path string) (runStream, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return runStream{}, err
+	}
+	r := faultinject.Reader(faultinject.SiteMerge, f)
+	var hdr [runHeaderLen]byte
+	_, err = io.ReadFull(r, hdr[:])
+	var h runHeader
+	if err == nil {
+		h, err = decodeRunHeader(hdr[:])
+	}
+	if err != nil {
+		f.Close()
+		return runStream{}, err
+	}
+	bufLen := min(h.count*runEntryBytes, mergeBufBytes)
+	return runStream{f: f, r: r, remaining: h.count, buf: make([]byte, 0, bufLen)}, nil
+}
+
+// next returns the source's next record; ok is false once it is exhausted.
+// Errors come back unwrapped; the merge names the run they belong to.
+//
+//repro:noalloc
+func (rs *runStream) next() (km seq.Kmer, count uint32, ok bool, err error) {
+	if rs.r == nil {
 		if rs.pos >= len(rs.memK) {
 			return 0, 0, false, nil
 		}
-		km, c := rs.memK[rs.pos], rs.memC[rs.pos]
+		km, count = rs.memK[rs.pos], rs.memC[rs.pos]
 		rs.pos++
-		return km, c, true, nil
+		return km, count, true, nil
 	}
-	if rs.remaining <= 0 {
-		return 0, 0, false, nil
+	if rs.off == len(rs.buf) {
+		if rs.remaining <= 0 {
+			return 0, 0, false, nil
+		}
+		if err := rs.fill(); err != nil {
+			return 0, 0, false, err
+		}
 	}
-	var rec [runEntryBytes]byte
-	if _, err := io.ReadFull(rs.br, rec[:]); err != nil {
-		return 0, 0, false, fmt.Errorf("kspectrum: merge: %w", err)
+	rec := rs.buf[rs.off : rs.off+runEntryBytes]
+	rs.off += runEntryBytes
+	return seq.Kmer(binary.LittleEndian.Uint64(rec[:8])), binary.LittleEndian.Uint32(rec[8:]), true, nil
+}
+
+// fill reads the next block of records into the emptied buffer.
+//
+//repro:noalloc
+func (rs *runStream) fill() error {
+	n := min(rs.remaining, int64(cap(rs.buf)/runEntryBytes))
+	rs.buf = rs.buf[:n*runEntryBytes]
+	rs.off = 0
+	if _, err := io.ReadFull(rs.r, rs.buf); err != nil {
+		rs.buf = rs.buf[:0]
+		return err
 	}
-	rs.remaining--
-	km := seq.Kmer(binary.LittleEndian.Uint64(rec[:8]))
-	c := binary.LittleEndian.Uint32(rec[8:])
-	return km, c, true, nil
+	rs.remaining -= n
+	return nil
 }
 
 func (rs *runStream) close() {
@@ -746,13 +792,36 @@ type runHead struct {
 	src   int
 }
 
-type runHeap []runHead
+// mergeHeap is a binary min-heap of the sources' current records keyed by
+// kmer. Typed rather than driven through container/heap, it boxes nothing:
+// replacing or dropping the top and sifting it down allocates nothing.
+type mergeHeap []runHead
 
-func (h runHeap) Len() int           { return len(h) }
-func (h runHeap) Less(i, j int) bool { return h[i].km < h[j].km }
-func (h runHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *runHeap) Push(x any)        { *h = append(*h, x.(runHead)) }
-func (h *runHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+func (h mergeHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// down sifts h[i] down to restore the heap order below it.
+//
+//repro:noalloc
+func (h mergeHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h[r].km < h[j].km {
+			j = r
+		}
+		if h[i].km <= h[j].km {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
 
 // BuildOutOfCore constructs the spectrum from an in-memory read set through
 // the out-of-core engine, returning the spill statistics alongside. It is

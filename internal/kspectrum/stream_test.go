@@ -1,10 +1,16 @@
 package kspectrum
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/seq"
 )
 
 // TestStreamBuilderByteIdentical is the acceptance property of the
@@ -123,4 +129,145 @@ func TestStreamBuilderCleanup(t *testing.T) {
 	if ents, _ := filepath.Glob(filepath.Join(tmp, "kspectrum-spill-*")); len(ents) != 0 {
 		t.Fatalf("Close left %d spill dirs", len(ents))
 	}
+}
+
+// shardBytes reports each shard table's resident footprint.
+func shardBytes(st *StreamBuilder) []int64 {
+	out := make([]int64, len(st.sb.shards))
+	for i := range st.sb.shards {
+		out[i] = st.sb.shards[i].counts.ResidentBytes()
+	}
+	return out
+}
+
+// TestStreamBuilderHonorsBudget pins the memory contract of the
+// out-of-core engine: across budgets × workers {1, 2, 8}, plain and
+// durable, the shard tables together never hold more than
+// max(MemoryBudget, shards × the per-shard floor) after any Add, and no
+// table changes capacity after construction — spills and durable
+// Checkpoints clear tables in place instead of regrowing them.
+func TestStreamBuilderHonorsBudget(t *testing.T) {
+	reads := randomReads(t, 3000)
+	want, err := BuildParallel(reads, 13, true, BuildOptions{Workers: 1, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor := ApproxAccumulatorBytes(minSpillEntries)
+	for _, budget := range []int64{1 << 14, 100_000, 1 << 18} {
+		for _, workers := range []int{1, 2, 8} {
+			for _, durable := range []bool{false, true} {
+				t.Run(fmt.Sprintf("budget=%d/workers=%d/durable=%v", budget, workers, durable), func(t *testing.T) {
+					opts := StreamOptions{
+						Build:        BuildOptions{Workers: workers},
+						MemoryBudget: budget,
+						TempDir:      t.TempDir(),
+					}
+					if durable {
+						opts.CheckpointDir = filepath.Join(t.TempDir(), "ckpt")
+						opts.CheckpointEvery = 1500
+					}
+					st, err := NewStreamBuilder(13, true, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					caps := shardBytes(st)
+					limit := max(budget, int64(len(caps))*floor)
+					check := func(when string) {
+						t.Helper()
+						now := shardBytes(st)
+						var total int64
+						for _, b := range now {
+							total += b
+						}
+						if total > limit {
+							t.Fatalf("%s: tables hold %d bytes, limit %d", when, total, limit)
+						}
+						if !slices.Equal(now, caps) {
+							t.Fatalf("%s: table capacities changed: %v, built %v", when, now, caps)
+						}
+					}
+					check("after construction")
+					// 1100-read chunks are large enough for the worker pool.
+					for lo := 0; lo < len(reads); lo += 1100 {
+						st.Add(reads[lo:min(lo+1100, len(reads))])
+						check("after Add")
+					}
+					if durable {
+						if err := st.Checkpoint(); err != nil {
+							t.Fatal(err)
+						}
+						check("after Checkpoint")
+					}
+					if st.Stats().SpilledRuns == 0 {
+						t.Fatal("nothing spilled")
+					}
+					got, err := st.Build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					spectraEqual(t, want, got, "budgeted stream build")
+				})
+			}
+		}
+	}
+}
+
+// uniformReads returns n reads of 36 uniformly random bases: nearly every
+// kmer is distinct, so a run's record count scales with the reads in it.
+func uniformReads(n int, seed int64) []seq.Read {
+	rng := rand.New(rand.NewSource(seed))
+	reads := make([]seq.Read, n)
+	for i := range reads {
+		b := make([]byte, 36)
+		for j := range b {
+			b[j] = "ACGT"[rng.Intn(4)]
+		}
+		reads[i] = seq.Read{Seq: b}
+	}
+	return reads
+}
+
+// TestStreamBuildAllocsScaleWithRuns pins the allocation-free merge: the
+// allocations of StreamBuilder.Build grow with the number of runs, not
+// with the number of records merged. Durable Checkpoints cut exactly one
+// run per shard each, so 4× the records at the same run count must stay
+// within a small constant — the few extra growth steps of the output
+// slices. One allocation per record (the old boxed heap and escaping
+// read buffer) would add tens of thousands.
+func TestStreamBuildAllocsScaleWithRuns(t *testing.T) {
+	measure := func(n int) (runs int64, records int64, allocs uint64) {
+		st, err := NewStreamBuilder(13, true, StreamOptions{
+			Build:         BuildOptions{Workers: 1, Shards: 1},
+			CheckpointDir: filepath.Join(t.TempDir(), "ckpt"),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := uniformReads(n, 5)
+		const cuts = 6
+		for i := 0; i < cuts; i++ {
+			st.Add(reads[i*n/cuts : (i+1)*n/cuts])
+			if err := st.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := st.Build(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		stats := st.Stats()
+		return stats.SpilledRuns, stats.SpilledEntries, after.Mallocs - before.Mallocs
+	}
+	runs, records, small := measure(3000)
+	runs4, records4, large := measure(12000)
+	if runs != runs4 || records4 < 3*records {
+		t.Fatalf("setup: %d runs of %d records vs %d runs of %d records", runs, records, runs4, records4)
+	}
+	if large > small+40 {
+		t.Fatalf("Build made %d allocations merging %d records, %d merging %d over the same %d runs",
+			small, records, large, records4, runs)
+	}
+	t.Logf("%d runs: %d allocations for %d records, %d for %d", runs, small, records, large, records4)
 }

@@ -2,7 +2,8 @@ package kspectrum
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/seq"
 )
@@ -18,19 +19,35 @@ type TileCount struct {
 // TileSet counts tiles: l-concatenations of two k-mers, i.e. substrings of
 // length 2k-l (Definition 2.1 with |t| = 2k-l). Tiles are packed like kmers,
 // so 2k-l must not exceed seq.MaxK.
+//
+// Like SpectrumBuilder it is a sharded parallel engine: tiles are routed by
+// their high bits into prefix shards, each a tileCounter behind its own
+// lock, and Add fans large chunks out to a worker pool. Counts are the same
+// for every (Workers, Shards) choice.
 type TileSet struct {
 	K       int
 	Overlap int // l, the kmer overlap inside a tile
 	TileLen int // 2k - l
 	Qc      byte
-	m       *tileCounter
+	workers int
+	// shift maps a tile to its shard (PrefixPartition.Shift over tiles).
+	shift  uint
+	shards []tileShard
+}
+
+// tileShard is one stripe of the tile counts, the analogue of countShard.
+// The counter is held by value, which saves Get a dependent load.
+type tileShard struct {
+	m  tileCounter
+	mu sync.Mutex
 }
 
 // CountTiles scans all reads (both strands) and records tile multiplicities.
 // qc is the quality threshold defining the high-quality count Og; reads
 // without quality scores contribute to Og unconditionally (the paper's
-// Og = Oc fallback).
-func CountTiles(reads []seq.Read, k, overlap int, qc byte) (*TileSet, error) {
+// Og = Oc fallback). An optional BuildOptions sets the counting workers and
+// shards exactly as for NewSpectrumBuilder; omitting it uses all cores.
+func CountTiles(reads []seq.Read, k, overlap int, qc byte, opts ...BuildOptions) (*TileSet, error) {
 	tileLen := 2*k - overlap
 	if k <= 0 || overlap < 0 || overlap >= k {
 		return nil, fmt.Errorf("kspectrum: invalid tile geometry k=%d l=%d", k, overlap)
@@ -38,51 +55,148 @@ func CountTiles(reads []seq.Read, k, overlap int, qc byte) (*TileSet, error) {
 	if tileLen > seq.MaxK {
 		return nil, fmt.Errorf("kspectrum: tile length %d exceeds %d packed bases", tileLen, seq.MaxK)
 	}
-	ts := &TileSet{K: k, Overlap: overlap, TileLen: tileLen, Qc: qc, m: newTileCounter()}
+	var o BuildOptions
+	if len(opts) > 0 {
+		o = opts[0]
+	}
+	workers, shardBits := o.resolve(tileLen)
+	part := PrefixPartition{K: tileLen, Bits: shardBits}
+	ts := &TileSet{
+		K: k, Overlap: overlap, TileLen: tileLen, Qc: qc,
+		workers: workers,
+		shift:   part.Shift(),
+		shards:  make([]tileShard, part.Shards()),
+	}
+	for i := range ts.shards {
+		ts.shards[i].m = *newTileCounter()
+	}
 	ts.Add(reads)
 	return ts, nil
 }
 
 // Add merges one chunk of reads into the tile counts, enabling the §2.3
-// divide-and-merge construction.
+// divide-and-merge construction. Like SpectrumBuilder.Add it fans large
+// chunks out to the set's workers, and it may be called concurrently.
 func (ts *TileSet) Add(reads []seq.Read) {
-	for _, r := range reads {
-		ts.addStrand(r.Seq, r.Qual, false)
-		rcSeq := seq.ReverseComplement(r.Seq)
-		var rcQual []byte
-		if r.Qual != nil {
-			rcQual = make([]byte, len(r.Qual))
-			for i, q := range r.Qual {
-				rcQual[len(r.Qual)-1-i] = q
-			}
-		}
-		ts.addStrand(rcSeq, rcQual, true)
-	}
-}
-
-func (ts *TileSet) addStrand(bases, qual []byte, rc bool) {
-	ForEachKmer(bases, ts.TileLen, func(tile seq.Kmer, pos int) {
-		ts.m.add(tile, ts.highQuality(qual, pos))
+	countChunks(reads, ts.workers, func() func([]seq.Read, int) {
+		sc := &tileScratch{shards: make([][]tileHit, len(ts.shards))}
+		return func(chunk []seq.Read, _ int) { ts.countChunk(chunk, sc) }
 	})
 }
 
-func (ts *TileSet) highQuality(qual []byte, pos int) bool {
-	if qual == nil {
-		return true
-	}
-	for i := pos; i < pos+ts.TileLen; i++ {
-		if qual[i] < ts.Qc {
-			return false
-		}
-	}
-	return true
+// tileHit is one tile occurrence and whether it is high quality.
+type tileHit struct {
+	tile seq.Kmer
+	hq   bool
 }
 
-// Get returns the counts for a packed tile (zero counts if unseen).
-func (ts *TileSet) Get(tile seq.Kmer) TileCount { return ts.m.get(tile) }
+// tileScratch is one worker's scratch: the current read's tile
+// occurrences, and a chunk's occurrences routed to their shards.
+type tileScratch struct {
+	read   []tileHit
+	shards [][]tileHit
+}
+
+// countChunk counts one read chunk's tiles. With several shards it routes
+// them into the worker's per-shard buffers (reused across chunks, reset
+// here) and then flushes each buffer into its counter under the stripe
+// lock. With one shard there is nothing to route, so each read's tiles
+// go straight into it.
+func (ts *TileSet) countChunk(reads []seq.Read, sc *tileScratch) {
+	if len(ts.shards) == 1 {
+		shard := &ts.shards[0]
+		for _, r := range reads {
+			sc.read = ts.appendTiles(sc.read[:0], r.Seq, r.Qual)
+			shard.mu.Lock()
+			for _, h := range sc.read {
+				shard.m.add(h.tile, h.hq)
+			}
+			shard.mu.Unlock()
+		}
+		return
+	}
+	resetBuffers(sc.shards, 2*windowsIn(reads, ts.TileLen))
+	for _, r := range reads {
+		sc.read = ts.appendTiles(sc.read[:0], r.Seq, r.Qual)
+		for _, h := range sc.read {
+			s := uint64(h.tile) >> ts.shift
+			sc.shards[s] = append(sc.shards[s], h)
+		}
+	}
+	for s := range ts.shards {
+		if len(sc.shards[s]) == 0 {
+			continue
+		}
+		shard := &ts.shards[s]
+		shard.mu.Lock()
+		for _, h := range sc.shards[s] {
+			shard.m.add(h.tile, h.hq)
+		}
+		shard.mu.Unlock()
+	}
+}
+
+// appendTiles appends to dst every tile of one read's two strands. The
+// reverse strand is never materialized: its tiles are the reverse
+// complements of the forward tiles, over the same bases and so with the
+// same quality verdict, and both are rolled in one pass. A tile is high
+// quality when no base in it scores below Qc, tracked as a sliding count
+// of low-quality bases over the last TileLen positions. Tiles never span a
+// non-ACGT base.
+func (ts *TileSet) appendTiles(dst []tileHit, bases, qual []byte) []tileHit {
+	n := ts.TileLen
+	if len(bases) < n {
+		return dst
+	}
+	top := 2 * uint(n-1)
+	var fw, rc seq.Kmer
+	valid, low := 0, 0
+	for i, ch := range bases {
+		if qual != nil {
+			if qual[i] < ts.Qc {
+				low++
+			}
+			if i >= n && qual[i-n] < ts.Qc {
+				low--
+			}
+		}
+		b, ok := seq.BaseFromChar(ch)
+		if !ok {
+			valid = 0
+			continue
+		}
+		fw = fw.Append(b, n)
+		rc = rc>>2 | seq.Kmer(b.Complement())<<top
+		if valid++; valid < n {
+			continue
+		}
+		dst = append(dst, tileHit{fw, low == 0}, tileHit{rc, low == 0})
+	}
+	return dst
+}
+
+// Get returns the counts for a packed tile (zero counts if unseen). The
+// correction kernel calls it per candidate tile, so it is kept small
+// enough to inline.
+func (ts *TileSet) Get(tile seq.Kmer) TileCount {
+	return ts.shards[uint64(tile)>>ts.shift].m.get(tile)
+}
 
 // Size returns the number of distinct tiles.
-func (ts *TileSet) Size() int { return ts.m.Len() }
+func (ts *TileSet) Size() int {
+	n := 0
+	for i := range ts.shards {
+		n += ts.shards[i].m.Len()
+	}
+	return n
+}
+
+// forEach visits every distinct tile, shard by shard in table order.
+func (ts *TileSet) forEach(fn func(tile seq.Kmer, c TileCount)) {
+	for i := range ts.shards {
+		ts.shards[i].m.forEach(fn)
+	}
+}
 
 // PackTile concatenates two kmers with the configured overlap into a packed
 // tile. The caller guarantees the overlapping regions agree (Definition 2.1);
@@ -107,7 +221,7 @@ func (ts *TileSet) SplitTile(tile seq.Kmer) (a, b seq.Kmer) {
 // maxBin into the last bin.
 func (ts *TileSet) OgHistogram(maxBin int) []int {
 	h := make([]int, maxBin+1)
-	ts.m.forEach(func(_ seq.Kmer, tc TileCount) {
+	ts.forEach(func(_ seq.Kmer, tc TileCount) {
 		idx := int(tc.Og)
 		if idx > maxBin {
 			idx = maxBin
@@ -121,14 +235,15 @@ func (ts *TileSet) OgHistogram(maxBin int) []int {
 // distinct tiles have Og <= x — the empirical-histogram parameter selection
 // Reptile uses for Cg and Cm (§2.3 "Choosing Parameters").
 func (ts *TileSet) OgQuantile(fraction float64) uint32 {
-	if ts.m.Len() == 0 {
+	n := ts.Size()
+	if n == 0 {
 		return 0
 	}
-	counts := make([]uint32, 0, ts.m.Len())
-	ts.m.forEach(func(_ seq.Kmer, tc TileCount) {
+	counts := make([]uint32, 0, n)
+	ts.forEach(func(_ seq.Kmer, tc TileCount) {
 		counts = append(counts, tc.Og)
 	})
-	sort.Slice(counts, func(i, j int) bool { return counts[i] < counts[j] })
+	slices.Sort(counts)
 	idx := int(fraction * float64(len(counts)))
 	if idx >= len(counts) {
 		idx = len(counts) - 1

@@ -1,6 +1,9 @@
 package kspectrum
 
 import (
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/seq"
@@ -119,5 +122,143 @@ func TestQualityQuantile(t *testing.T) {
 	}
 	if q := QualityQuantile(nil, 0.5); q != 0 {
 		t.Errorf("empty QualityQuantile = %d want 0", q)
+	}
+}
+
+// highQualityScan is the per-tile quality test TileSet used before its
+// sliding window: rescan the tile's qualities for one below qc. It is the
+// oracle for the window.
+func highQualityScan(qual []byte, pos, tileLen int, qc byte) bool {
+	if qual == nil {
+		return true
+	}
+	for i := pos; i < pos+tileLen; i++ {
+		if qual[i] < qc {
+			return false
+		}
+	}
+	return true
+}
+
+// tileOracle counts tiles serially into a map, the way TileSet counted
+// before it was sharded: both strands materialized, the reverse strand
+// with reversed qualities, and a quality rescan per tile.
+func tileOracle(reads []seq.Read, tileLen int, qc byte) map[seq.Kmer]TileCount {
+	ref := map[seq.Kmer]TileCount{}
+	addStrand := func(bases, qual []byte) {
+		ForEachKmer(bases, tileLen, func(tile seq.Kmer, pos int) {
+			tc := ref[tile]
+			tc.Oc++
+			if highQualityScan(qual, pos, tileLen, qc) {
+				tc.Og++
+			}
+			ref[tile] = tc
+		})
+	}
+	for _, r := range reads {
+		addStrand(r.Seq, r.Qual)
+		var rcQual []byte
+		if r.Qual != nil {
+			rcQual = slices.Clone(r.Qual)
+			slices.Reverse(rcQual)
+		}
+		addStrand(seq.ReverseComplement(r.Seq), rcQual)
+	}
+	return ref
+}
+
+// mixedQualityReads returns simulated reads reworked to exercise every
+// branch of tile counting: every fifth read has no qualities, the rest
+// score high except for scattered low bases, and every third read carries
+// an N that breaks its tiles.
+func mixedQualityReads(t *testing.T, n int) []seq.Read {
+	reads := randomReads(t, n)
+	rng := rand.New(rand.NewSource(17))
+	for i := range reads {
+		r := &reads[i]
+		if i%5 == 0 {
+			r.Qual = nil
+		} else {
+			r.Qual = make([]byte, len(r.Seq))
+			for j := range r.Qual {
+				if rng.Intn(12) == 0 {
+					r.Qual[j] = byte(2 + rng.Intn(20))
+				} else {
+					r.Qual[j] = byte(30 + rng.Intn(11))
+				}
+			}
+		}
+		if i%3 == 0 {
+			r.Seq[rng.Intn(len(r.Seq))] = 'N'
+		}
+	}
+	return reads
+}
+
+// TestTileSetMatchesMapReference is the determinism property of the
+// sharded tile engine: for workers ∈ {1, 2, 8}, fed whole, in chunks
+// large enough for the worker pool, or from concurrent Adds, the counts,
+// the Og histogram and the Og quantiles equal the serial map oracle.
+// Reptile's Cg/Cm are a function of that histogram alone.
+func TestTileSetMatchesMapReference(t *testing.T) {
+	reads := mixedQualityReads(t, 3000)
+	const k, overlap = 8, 3
+	const qc = 25
+	ref := tileOracle(reads, 2*k-overlap, qc)
+	wantHist := make([]int, 256)
+	var ogs []uint32
+	for _, tc := range ref {
+		wantHist[min(int(tc.Og), 255)]++
+		ogs = append(ogs, tc.Og)
+	}
+	slices.Sort(ogs)
+	if wantHist[0] == 0 || wantHist[1] == 0 {
+		t.Fatalf("reads exercise too few low-quality tiles: histogram head %v", wantHist[:4])
+	}
+
+	feeds := map[string]func(ts *TileSet){
+		"whole": func(ts *TileSet) { ts.Add(reads) },
+		"chunked": func(ts *TileSet) {
+			for lo := 0; lo < len(reads); lo += 1100 {
+				ts.Add(reads[lo:min(lo+1100, len(reads))])
+			}
+		},
+		"concurrent": func(ts *TileSet) {
+			var wg sync.WaitGroup
+			for lo := 0; lo < len(reads); lo += 700 {
+				wg.Add(1)
+				go func(part []seq.Read) {
+					defer wg.Done()
+					ts.Add(part)
+				}(reads[lo:min(lo+700, len(reads))])
+			}
+			wg.Wait()
+		},
+	}
+	for _, workers := range []int{1, 2, 8} {
+		for name, feed := range feeds {
+			ts, err := CountTiles(nil, k, overlap, qc, BuildOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed(ts)
+			if ts.Size() != len(ref) {
+				t.Fatalf("workers=%d %s: size %d, oracle %d", workers, name, ts.Size(), len(ref))
+			}
+			for tile, want := range ref {
+				if got := ts.Get(tile); got != want {
+					t.Fatalf("workers=%d %s: tile %v: got %+v want %+v", workers, name, tile, got, want)
+				}
+			}
+			if got := ts.OgHistogram(255); !slices.Equal(got, wantHist) {
+				t.Fatalf("workers=%d %s: OgHistogram differs from the oracle", workers, name)
+			}
+			for _, f := range []float64{0.5, 0.9, 0.99} {
+				want := ogs[min(int(f*float64(len(ogs))), len(ogs)-1)]
+				if got := ts.OgQuantile(f); got != want {
+					t.Fatalf("workers=%d %s: OgQuantile(%v) = %d want %d", workers, name, f, got, want)
+				}
+			}
+		}
 	}
 }

@@ -46,15 +46,17 @@ type Params struct {
 	// strands — the corrector's reverse-complement pass depends on the
 	// spectrum being RC-closed.
 	Spectrum *kspectrum.Spectrum
-	// Build configures the sharded parallel spectrum engine of Phase 1;
-	// the zero value selects full parallelism (see kspectrum.BuildOptions).
+	// Build configures the sharded parallel engines of Phase 1, the
+	// spectrum and the tile counts alike; the zero value selects full
+	// parallelism (see kspectrum.BuildOptions).
 	Build kspectrum.BuildOptions
 	// MemoryBudget, when positive, routes Phase 1's spectrum accumulation
-	// through the out-of-core engine (kspectrum.StreamBuilder): shard
-	// accumulators exceeding their slice of the budget spill to sorted run
-	// files and are merged back in Finish. The resulting spectrum is
-	// byte-identical to the in-memory path. Tile counts stay in memory
-	// (they are a small multiple of the distinct-tile count).
+	// through the out-of-core engine (kspectrum.StreamBuilder): each shard
+	// counts into a fixed-capacity table sized to its slice of the budget,
+	// full tables spill to sorted run files, and Finish merges them back.
+	// The resulting spectrum is byte-identical to the in-memory path. Tile
+	// counts stay in memory (they are a small multiple of the distinct-tile
+	// count).
 	MemoryBudget int64
 	// TempDir hosts the spill files ("" = os.TempDir()).
 	TempDir string
@@ -208,7 +210,7 @@ func newBuilderCtx(ctx context.Context, p Params) (*Builder, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.tiles, err = kspectrum.CountTiles(nil, p.K, p.Overlap, p.Qc)
+	b.tiles, err = kspectrum.CountTiles(nil, p.K, p.Overlap, p.Qc, p.Build)
 	if err != nil {
 		b.Close()
 		return nil, err

@@ -2,9 +2,11 @@ package reptile
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/eval"
+	"repro/internal/kspectrum"
 	"repro/internal/seq"
 	"repro/internal/simulate"
 )
@@ -270,6 +272,42 @@ func TestChunkedBuilderMatchesWholeSlice(t *testing.T) {
 	for i := range a {
 		if string(a[i].Seq) != string(c[i].Seq) {
 			t.Fatalf("correction differs at read %d", i)
+		}
+	}
+}
+
+// TestPhase1IndependentOfWorkers: the tile counts, their Og histogram and
+// the Cg/Cm derived from it are the same whether Phase 1 counts with one
+// worker into one shard or with a pool into many, and so are the
+// corrections. kspectrum's TestTileSetMatchesMapReference ties those
+// counts to the serial map oracle.
+func TestPhase1IndependentOfWorkers(t *testing.T) {
+	_, sim := buildTestData(t, 8000, 6000, 36, 0.01, 4)
+	reads := simulate.Reads(sim)
+	var ref *Corrector
+	var refOut []seq.Read
+	for _, workers := range []int{1, 2, 8} {
+		p := defaultTestParams()
+		p.Build = kspectrum.BuildOptions{Workers: workers}
+		c, err := New(reads, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := c.CorrectAll(reads, 1)
+		if ref == nil {
+			ref, refOut = c, out
+			continue
+		}
+		if c.P.Cg != ref.P.Cg || c.P.Cm != ref.P.Cm {
+			t.Fatalf("workers=%d: Cg/Cm (%d,%d), serial (%d,%d)", workers, c.P.Cg, c.P.Cm, ref.P.Cg, ref.P.Cm)
+		}
+		if c.Tiles.Size() != ref.Tiles.Size() || !slices.Equal(c.Tiles.OgHistogram(255), ref.Tiles.OgHistogram(255)) {
+			t.Fatalf("workers=%d: tile counts differ from the serial count", workers)
+		}
+		for i := range out {
+			if string(out[i].Seq) != string(refOut[i].Seq) {
+				t.Fatalf("workers=%d: correction differs at read %d", workers, i)
+			}
 		}
 	}
 }

@@ -169,7 +169,9 @@ func (s *Service) CorrectChunkCtx(ctx context.Context, reads []seq.Read, workers
 		p.Qc = kspectrum.QualityQuantile(reads, 0.17)
 		p.Qm = p.Qc + 15
 	}
-	tiles, err := kspectrum.CountTiles(nil, p.K, p.Overlap, p.Qc)
+	// One request's tiles are counted serially into a single shard: the
+	// daemon already runs requests side by side.
+	tiles, err := kspectrum.CountTiles(nil, p.K, p.Overlap, p.Qc, kspectrum.BuildOptions{Workers: 1})
 	if err != nil {
 		return nil, nil, err
 	}
