@@ -16,8 +16,8 @@ import (
 // A slot is occupied iff its count is non-zero, which is sound because
 // increments are always positive; the kmer 0 (AAA…A) therefore needs no
 // sentinel. The table grows at 3/4 load by rehashing into double the
-// capacity — unless it is used through tryInc, which keeps the capacity
-// fixed and leaves the decision of what to do when full to the caller.
+// capacity — unless it is used through tryInc, which never grows the table
+// and leaves the decision of what to do when full to the caller.
 type Counter struct {
 	keys []seq.Kmer
 	vals []uint32
@@ -53,19 +53,6 @@ func slotsFor(n int) int {
 func NewCounter(hint int) *Counter {
 	c := &Counter{}
 	c.alloc(slotsFor(hint))
-	return c
-}
-
-// newCounterWithin returns an empty counter with the largest power-of-two
-// capacity whose footprint fits in bytes, floored at minCounterSlots. It
-// is the fixed-capacity table an out-of-core shard fills through tryInc.
-func newCounterWithin(bytes int64) *Counter {
-	slots := minCounterSlots
-	for int64(2*slots)*counterSlotBytes <= bytes {
-		slots *= 2
-	}
-	c := &Counter{}
-	c.alloc(slots)
 	return c
 }
 
@@ -139,6 +126,15 @@ func (c *Counter) Reset() {
 	clear(c.keys)
 	clear(c.vals)
 	c.n = 0
+}
+
+// growEmpty empties the table and doubles its capacity without a rehash.
+// The old slots are dropped before the new ones are allocated, so unlike
+// a rehash it never holds both tables at once.
+func (c *Counter) growEmpty() {
+	slots := 2 * len(c.keys)
+	c.keys, c.vals = nil, nil
+	c.alloc(slots)
 }
 
 // Get returns km's count (0 if absent).

@@ -108,12 +108,11 @@ func TestCounterSaturatesAtMaxUint32(t *testing.T) {
 // TestCounterTryIncFixedCapacity pins the fixed-capacity contract the
 // out-of-core shards rely on: tryInc fills the table to its load threshold
 // and then refuses new keys without changing anything (existing keys still
-// count), and Reset empties it without changing its capacity.
+// count), Reset empties it without changing its capacity, and growEmpty
+// empties it into double the capacity.
 func TestCounterTryIncFixedCapacity(t *testing.T) {
-	c := newCounterWithin(1000 * counterSlotBytes) // 512 slots, threshold 384
-	if got := c.ResidentBytes(); got != 512*counterSlotBytes {
-		t.Fatalf("ResidentBytes %d want %d", got, 512*counterSlotBytes)
-	}
+	c := &Counter{}
+	c.alloc(512) // threshold 384
 	for i := 0; i < 384; i++ {
 		if !c.tryInc(seq.Kmer(i), 1) {
 			t.Fatalf("tryInc refused key %d below the load threshold", i)
@@ -135,8 +134,14 @@ func TestCounterTryIncFixedCapacity(t *testing.T) {
 	if !c.tryInc(seq.Kmer(384), 1) || c.Get(384) != 1 {
 		t.Fatal("tryInc after Reset")
 	}
-	if got := newCounterWithin(0).ResidentBytes(); got != minCounterSlots*counterSlotBytes {
-		t.Fatalf("tiny budget: %d bytes want the %d-slot floor", got, minCounterSlots)
+	c.growEmpty()
+	if c.Len() != 0 || c.Get(384) != 0 || c.ResidentBytes() != 1024*counterSlotBytes {
+		t.Fatalf("growEmpty: len %d, Get(384) %d, %d bytes", c.Len(), c.Get(384), c.ResidentBytes())
+	}
+	for i := 0; i < 768; i++ {
+		if !c.tryInc(seq.Kmer(i), 1) {
+			t.Fatalf("tryInc after growEmpty refused key %d below the new threshold", i)
+		}
 	}
 }
 

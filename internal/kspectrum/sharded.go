@@ -79,9 +79,9 @@ type SpectrumBuilder struct {
 
 	// onFull, when set, is invoked with the shard's stripe lock held just
 	// before an insert that would make its Counter rehash. It is the
-	// out-of-core hook: the StreamBuilder spills the full table to a run
-	// and Resets it from here (see stream.go). A table the hook leaves
-	// full grows as it would without the hook.
+	// out-of-core hook: the StreamBuilder spills a table that has reached
+	// its budget cap to a run and empties it from here (see stream.go). A
+	// table the hook leaves full grows as it would without the hook.
 	onFull func(s int, shard *countShard)
 }
 

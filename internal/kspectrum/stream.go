@@ -23,10 +23,12 @@ type StreamOptions struct {
 	Build BuildOptions
 	// MemoryBudget caps the resident bytes of the counting accumulators
 	// across all shards; <= 0 means unlimited — nothing is ever spilled.
-	// Each shard gets an equal slice of the budget and a fixed-capacity
-	// Counter sized once to the largest power of two of slots that fits
-	// in it (Counter.ResidentBytes); a full table spills and is reused,
-	// so the tables never grow past the budget.
+	// It is a cap, not a reservation: each shard gets an equal slice of
+	// the budget, and its Counter starts small and grows with the data
+	// only while the rehash (old and doubled tables together, by
+	// Counter.ResidentBytes) fits the slice. Past that a full table is
+	// spilled and emptied, once doubled without a rehash if the doubled
+	// table alone still fits, so the tables never exceed the budget.
 	MemoryBudget int64
 	// TempDir is where spilled run files live; "" uses os.TempDir(). A
 	// fresh subdirectory is created per builder and removed by Build/Close.
@@ -90,9 +92,9 @@ type runInfo struct {
 // StreamBuilder is the out-of-core variant of SpectrumBuilder (§2.3's
 // divide-and-merge taken past memory): counting workers scatter kmers into
 // high-bit prefix shards exactly as the in-memory engine does, but each
-// shard counts into a fixed-capacity table sized to its slice of the
-// MemoryBudget, and a table about to overflow is spilled to a sorted run
-// file in a temp directory and cleared in place. Build merges each
+// shard's table is capped by its slice of the MemoryBudget, and a table
+// about to outgrow the cap is spilled to a sorted run file in a temp
+// directory and emptied. Build merges each
 // shard's runs with its in-memory residue — the prefix partition keeps shard
 // ranges disjoint and ordered, so the final cross-shard merge is a
 // concatenation — and yields a Spectrum byte-identical to the in-memory
@@ -105,8 +107,8 @@ type StreamBuilder struct {
 	sb *SpectrumBuilder
 	// ctx cancels spill and merge work; never nil.
 	ctx context.Context
-	// spillBytes is the per-shard slice of the MemoryBudget each shard's
-	// fixed-capacity table is sized within (0 = unlimited, never spill).
+	// spillBytes is the per-shard slice of the MemoryBudget that caps each
+	// shard's table (0 = unlimited, never spill).
 	spillBytes int64
 	dir        string
 	// durable marks a checkpointing builder: runs are fsynced, dir is the
@@ -198,9 +200,6 @@ func NewStreamBuilder(k int, bothStrands bool, opts StreamOptions) (*StreamBuild
 		st.runs = make([][]runInfo, len(sb.shards))
 	}
 	if st.spillBytes > 0 {
-		for i := range sb.shards {
-			sb.shards[i].counts = newCounterWithin(st.spillBytes)
-		}
 		sb.onFull = st.spill
 	}
 	if st.durable {
@@ -399,12 +398,20 @@ func (st *StreamBuilder) Stats() StreamStats {
 	}
 }
 
-// spill runs under the shard's stripe lock when its fixed-capacity table
-// is full: the table is drained to a sorted run file and Reset in place.
-// I/O errors are recorded once and surfaced by Build; after a failure the
-// engine stops spilling and the full table grows instead (counting stays
+// spill runs under the shard's stripe lock when its table is full and the
+// next insert would rehash it. While the rehash, which holds the old and
+// the doubled table at once, fits the shard's slice of the budget, spill
+// does nothing and the table grows. Past that the table is drained to a
+// sorted run file and emptied: doubled without a rehash when the doubled
+// table alone fits the slice, else Reset in place at its cap. I/O errors
+// are recorded once and surfaced by Build; after a failure the engine
+// stops spilling and the full table grows instead (counting stays
 // correct, memory is no longer bounded).
 func (st *StreamBuilder) spill(s int, shard *countShard) {
+	tableBytes := shard.counts.ResidentBytes()
+	if 3*tableBytes <= st.spillBytes {
+		return
+	}
 	// A cancelled build stops investing in spill I/O; the recorded
 	// ctx.Err() surfaces from Build exactly like a spill failure.
 	if err := st.ctx.Err(); err != nil {
@@ -429,7 +436,11 @@ func (st *StreamBuilder) spill(s int, shard *countShard) {
 	st.stats.runs.Add(1)
 	st.stats.entries.Add(ri.entries)
 	st.stats.bytes.Add(ri.bytes)
-	shard.counts.Reset()
+	if 2*tableBytes <= st.spillBytes {
+		shard.counts.growEmpty()
+	} else {
+		shard.counts.Reset()
+	}
 }
 
 // runEntryBytes is the fixed on-disk size of one (kmer, count) record.

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 
@@ -143,9 +142,11 @@ func shardBytes(st *StreamBuilder) []int64 {
 // TestStreamBuilderHonorsBudget pins the memory contract of the
 // out-of-core engine: across budgets × workers {1, 2, 8}, plain and
 // durable, the shard tables together never hold more than
-// max(MemoryBudget, shards × the per-shard floor) after any Add, and no
-// table changes capacity after construction — spills and durable
-// Checkpoints clear tables in place instead of regrowing them.
+// max(MemoryBudget, shards × the per-shard floor) after any Add. Each
+// table stays within its slice of the budget and never shrinks — spills
+// and durable Checkpoints empty tables in place — and a table is only
+// left to grow by a rehash, which holds the old and the doubled table at
+// once, when both fit the slice.
 func TestStreamBuilderHonorsBudget(t *testing.T) {
 	reads := randomReads(t, 3000)
 	want, err := BuildParallel(reads, 13, true, BuildOptions{Workers: 1, Shards: 1})
@@ -170,23 +171,44 @@ func TestStreamBuilderHonorsBudget(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					caps := shardBytes(st)
-					limit := max(budget, int64(len(caps))*floor)
+					// A table the spill hook leaves full is rehashed by
+					// the insert that follows; record the largest
+					// footprint such a rehash reaches.
+					var peakMu sync.Mutex
+					var rehashPeak int64
+					spill := st.sb.onFull
+					st.sb.onFull = func(s int, shard *countShard) {
+						before, n := shard.counts.ResidentBytes(), shard.counts.Len()
+						spill(s, shard)
+						if shard.counts.Len() == n {
+							peakMu.Lock()
+							rehashPeak = max(rehashPeak, 3*before)
+							peakMu.Unlock()
+						}
+					}
+					prev := shardBytes(st)
+					limit := max(budget, int64(len(prev))*floor)
 					check := func(when string) {
 						t.Helper()
 						now := shardBytes(st)
 						var total int64
-						for _, b := range now {
+						for s, b := range now {
 							total += b
+							if b > st.spillBytes {
+								t.Fatalf("%s: shard %d table holds %d bytes, slice %d", when, s, b, st.spillBytes)
+							}
+							if b < prev[s] {
+								t.Fatalf("%s: shard %d table shrank from %d to %d bytes", when, s, prev[s], b)
+							}
 						}
 						if total > limit {
 							t.Fatalf("%s: tables hold %d bytes, limit %d", when, total, limit)
 						}
-						if !slices.Equal(now, caps) {
-							t.Fatalf("%s: table capacities changed: %v, built %v", when, now, caps)
+						if rehashPeak > st.spillBytes {
+							t.Fatalf("%s: a rehash held %d bytes, slice %d", when, rehashPeak, st.spillBytes)
 						}
+						prev = now
 					}
-					check("after construction")
 					// 1100-read chunks are large enough for the worker pool.
 					for lo := 0; lo < len(reads); lo += 1100 {
 						st.Add(reads[lo:min(lo+1100, len(reads))])
@@ -208,6 +230,36 @@ func TestStreamBuilderHonorsBudget(t *testing.T) {
 					spectraEqual(t, want, got, "budgeted stream build")
 				})
 			}
+		}
+	}
+}
+
+// TestStreamBuilderBudgetIsACap pins that a budget larger than the
+// spectrum reserves nothing: without a spill each shard's table is the
+// size the in-memory engine would grow it to for its entries.
+func TestStreamBuilderBudgetIsACap(t *testing.T) {
+	reads := randomReads(t, 1000)
+	for _, workers := range []int{1, 2, 8} {
+		st, err := NewStreamBuilder(13, true, StreamOptions{
+			Build:        BuildOptions{Workers: workers},
+			MemoryBudget: 1 << 30,
+			TempDir:      t.TempDir(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Add(reads)
+		for s := range st.sb.shards {
+			c := st.sb.shards[s].counts
+			if got, want := c.ResidentBytes(), ApproxAccumulatorBytes(c.Len()); got != want {
+				t.Fatalf("workers=%d shard %d: %d entries in %d bytes, want %d", workers, s, c.Len(), got, want)
+			}
+		}
+		if runs := st.Stats().SpilledRuns; runs != 0 {
+			t.Fatalf("workers=%d: %d runs spilled under a budget above the footprint", workers, runs)
+		}
+		if _, err := st.Build(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

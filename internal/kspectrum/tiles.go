@@ -97,24 +97,10 @@ type tileScratch struct {
 	shards [][]tileHit
 }
 
-// countChunk counts one read chunk's tiles. With several shards it routes
-// them into the worker's per-shard buffers (reused across chunks, reset
-// here) and then flushes each buffer into its counter under the stripe
-// lock. With one shard there is nothing to route, so each read's tiles
-// go straight into it.
+// countChunk routes one read chunk's tiles into the worker's per-shard
+// buffers (reused across chunks, reset here), then flushes each buffer
+// into its counter under the stripe lock.
 func (ts *TileSet) countChunk(reads []seq.Read, sc *tileScratch) {
-	if len(ts.shards) == 1 {
-		shard := &ts.shards[0]
-		for _, r := range reads {
-			sc.read = ts.appendTiles(sc.read[:0], r.Seq, r.Qual)
-			shard.mu.Lock()
-			for _, h := range sc.read {
-				shard.m.add(h.tile, h.hq)
-			}
-			shard.mu.Unlock()
-		}
-		return
-	}
 	resetBuffers(sc.shards, 2*windowsIn(reads, ts.TileLen))
 	for _, r := range reads {
 		sc.read = ts.appendTiles(sc.read[:0], r.Seq, r.Qual)

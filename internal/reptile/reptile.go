@@ -52,8 +52,8 @@ type Params struct {
 	Build kspectrum.BuildOptions
 	// MemoryBudget, when positive, routes Phase 1's spectrum accumulation
 	// through the out-of-core engine (kspectrum.StreamBuilder): each shard
-	// counts into a fixed-capacity table sized to its slice of the budget,
-	// full tables spill to sorted run files, and Finish merges them back.
+	// counts into a table capped by its slice of the budget, tables at the
+	// cap spill to sorted run files, and Finish merges them back.
 	// The resulting spectrum is byte-identical to the in-memory path. Tile
 	// counts stay in memory (they are a small multiple of the distinct-tile
 	// count).
