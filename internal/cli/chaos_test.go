@@ -159,6 +159,19 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// waitFor polls cond until it holds, failing the test if it does not
+// within 15 seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 var serveAddrRE = regexp.MustCompile(`serving \d+ spectra on ([0-9.:\[\]]+)`)
 
 // TestChaosServeSIGTERMDrainsUpload runs a real serve daemon, SIGTERMs
@@ -197,17 +210,24 @@ func TestChaosServeSIGTERMDrainsUpload(t *testing.T) {
 	defer srv.Process.Kill()
 
 	// Scrape the daemon's actual address from its startup log (the
-	// explicit-listen contract for -listen 127.0.0.1:0), then keep
-	// draining stderr so the child never blocks on a full pipe.
+	// explicit-listen contract for -listen 127.0.0.1:0) and watch for the
+	// log line that says the drain began, while draining stderr so the
+	// child never blocks on a full pipe.
 	addrc := make(chan string, 1)
+	draining := make(chan struct{})
 	go func() {
 		sc := bufio.NewScanner(stderr)
+		drainSeen := false
 		for sc.Scan() {
 			if m := serveAddrRE.FindStringSubmatch(sc.Text()); m != nil {
 				select {
 				case addrc <- m[1]:
 				default:
 				}
+			}
+			if !drainSeen && strings.Contains(sc.Text(), "draining in-flight requests") {
+				drainSeen = true
+				close(draining)
 			}
 		}
 	}()
@@ -237,12 +257,33 @@ func TestChaosServeSIGTERMDrainsUpload(t *testing.T) {
 	if _, err := pw.Write(specBytes[:len(specBytes)/2]); err != nil {
 		t.Fatal(err)
 	}
+	// SIGTERM only once the daemon has taken the upload: its handler
+	// creates the .upload- temp file before it reads the body. A signal
+	// sent earlier can close the listener on a connection still waiting
+	// in the accept queue, and the upload then fails instead of draining.
+	// (The in-flight gauge on /metrics counts corrections, not uploads.)
+	waitFor(t, "the daemon to take the upload", func() bool {
+		entries, err := os.ReadDir(spectraDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if strings.Contains(e.Name(), ".upload-") {
+				return true
+			}
+		}
+		return false
+	})
 
 	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	// Give the daemon a moment to enter its drain, then finish the body.
-	time.Sleep(200 * time.Millisecond)
+	// Finish the body only once the daemon has entered its drain.
+	select {
+	case <-draining:
+	case <-time.After(15 * time.Second):
+		t.Fatal("daemon never logged the start of its drain")
+	}
 	if _, err := pw.Write(specBytes[len(specBytes)/2:]); err != nil {
 		t.Fatal(err)
 	}

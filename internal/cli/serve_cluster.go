@@ -179,7 +179,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if maxD := s.maxQueryRadius(); req.D > maxD {
 		// Each distinct d>0 costs a permanently cached NeighborIndex
-		// build — C(c,d) full-spectrum sorts — on an unauthenticated
+		// build — C(c,d) full-spectrum passes — on an unauthenticated
 		// endpoint; without the cap a handful of large-d requests is a
 		// trivial CPU/memory exhaustion.
 		s.errorJSON(w, http.StatusBadRequest, errClassBadRequest,

@@ -1,6 +1,7 @@
 package kspectrum
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/seq"
@@ -211,15 +212,24 @@ func ApproxAccumulatorBytes(n int) int64 {
 
 // tileCounter is the paired-uint32-value variant of Counter backing
 // TileSet: per tile it tracks Oc (total occurrences) and Og (high-quality
-// occurrences). A slot is occupied iff Oc is non-zero — every insertion
-// increments Oc, so the invariant holds.
+// occurrences) in one TileEntry record per slot. A slot is occupied iff
+// Oc is non-zero — every insertion increments Oc, so the invariant holds.
+//
+// It lives in two states. While counting it is an open-addressing hash
+// table written through add. freeze then turns it, in place, into the
+// read-only form every lookup uses: the occupied records compacted to
+// the front of the same array and sorted by tile, plus a small bucket
+// table over the tiles' high bits.
 type tileCounter struct {
-	mask uint64 // len(keys) - 1
-	keys []seq.Kmer
-	oc   []uint32
-	og   []uint32
+	recs []TileEntry
 	n    int
 	grow int
+
+	// Frozen state: recs holds exactly the n sorted records, and bucket
+	// b — the bmask bits above bshift — spans recs[off[b]:off[b+1]].
+	bshift uint
+	bmask  uint64
+	off    []uint32
 }
 
 func newTileCounter() *tileCounter {
@@ -229,10 +239,7 @@ func newTileCounter() *tileCounter {
 }
 
 func (tc *tileCounter) alloc(slots int) {
-	tc.mask = uint64(slots - 1)
-	tc.keys = make([]seq.Kmer, slots)
-	tc.oc = make([]uint32, slots)
-	tc.og = make([]uint32, slots)
+	tc.recs = make([]TileEntry, slots)
 	tc.grow = slots * 3 / 4
 	tc.n = 0
 }
@@ -244,29 +251,29 @@ func (tc *tileCounter) Len() int { return tc.n }
 // Counter.Inc, counts saturate at MaxUint32 — Oc wrapping to 0 would free
 // an occupied slot.
 func (tc *tileCounter) add(tile seq.Kmer, hq bool) {
-	mask := uint64(len(tc.keys) - 1)
+	mask := uint64(len(tc.recs) - 1)
 	i := mix(uint64(tile)) & mask
 	for {
-		if tc.oc[i] == 0 {
+		r := &tc.recs[i]
+		if r.Oc == 0 {
 			if tc.n >= tc.grow {
 				tc.rehash()
 				tc.add(tile, hq)
 				return
 			}
-			tc.keys[i] = tile
-			tc.oc[i] = 1
+			r.Tile, r.Oc = tile, 1
 			if hq {
-				tc.og[i] = 1
+				r.Og = 1
 			}
 			tc.n++
 			return
 		}
-		if tc.keys[i] == tile {
-			if tc.oc[i] != ^uint32(0) {
-				tc.oc[i]++
+		if r.Tile == tile {
+			if r.Oc != ^uint32(0) {
+				r.Oc++
 			}
-			if hq && tc.og[i] != ^uint32(0) {
-				tc.og[i]++
+			if hq && r.Og != ^uint32(0) {
+				r.Og++
 			}
 			return
 		}
@@ -274,40 +281,104 @@ func (tc *tileCounter) add(tile seq.Kmer, hq bool) {
 	}
 }
 
-// get returns the tile's counts (zero counts if unseen).
-func (tc *tileCounter) get(tile seq.Kmer) TileCount {
-	for i := mix(uint64(tile)) & tc.mask; tc.oc[i] != 0; i = (i + 1) & tc.mask {
-		if tc.keys[i] == tile {
-			return TileCount{Oc: tc.oc[i], Og: tc.og[i]}
-		}
-	}
-	return TileCount{}
-}
-
 func (tc *tileCounter) rehash() {
-	oldK, oldOc, oldOg := tc.keys, tc.oc, tc.og
-	tc.alloc(2 * len(oldK))
-	mask := uint64(len(tc.keys) - 1)
-	for j, v := range oldOc {
-		if v == 0 {
+	old := tc.recs
+	tc.alloc(2 * len(old))
+	mask := uint64(len(tc.recs) - 1)
+	for _, r := range old {
+		if r.Oc == 0 {
 			continue
 		}
-		i := mix(uint64(oldK[j])) & mask
-		for tc.oc[i] != 0 {
+		i := mix(uint64(r.Tile)) & mask
+		for tc.recs[i].Oc != 0 {
 			i = (i + 1) & mask
 		}
-		tc.keys[i] = oldK[j]
-		tc.oc[i] = v
-		tc.og[i] = oldOg[j]
+		tc.recs[i] = r
 		tc.n++
 	}
 }
 
-// forEach visits every distinct tile in table (not sorted) order.
+// freeze converts the table to its sorted read-only form without a second
+// copy of the records: the occupied slots slide to the front, the slice
+// is cut to them, and slices.SortFunc orders them in place. A bucket is
+// then selected by the up to maxBits tile bits just below the top
+// 2·TileLen−low bits the table's tiles all share (its shard prefix).
+// Only the bucket table is allocated. It runs once, under TileSet.Freeze.
+func (tc *tileCounter) freeze(low, maxBits uint) {
+	n := 0
+	for _, r := range tc.recs {
+		if r.Oc != 0 {
+			tc.recs[n] = r
+			n++
+		}
+	}
+	tc.recs = tc.recs[:n]
+	slices.SortFunc(tc.recs, func(a, b TileEntry) int { return cmp.Compare(a.Tile, b.Tile) })
+	// About one bucket per four tiles, as for the neighbor replicas.
+	bits := uint(0)
+	for bits < maxBits && 4<<(bits+1) <= n {
+		bits++
+	}
+	tc.bshift = low - bits
+	tc.bmask = 1<<bits - 1
+	tc.off = make([]uint32, 1<<bits+1)
+	for _, r := range tc.recs {
+		tc.off[tc.bucketOf(r.Tile)+1]++
+	}
+	for b := 1; b < len(tc.off); b++ {
+		tc.off[b] += tc.off[b-1]
+	}
+}
+
+func (tc *tileCounter) bucketOf(tile seq.Kmer) uint64 {
+	return uint64(tile) >> tc.bshift & tc.bmask
+}
+
+// lowerBound returns the first index in recs whose tile is >= tile
+// (len(recs) when none is).
+func lowerBound(recs []TileEntry, tile seq.Kmer) int {
+	lo, hi := 0, len(recs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if recs[mid].Tile < tile {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// get returns the tile's counts (zero counts if unseen) from the frozen
+// table: a binary search within the tile's bucket.
+func (tc *tileCounter) get(tile seq.Kmer) TileCount {
+	b := tc.bucketOf(tile)
+	recs := tc.recs[tc.off[b]:tc.off[b+1]]
+	if i := lowerBound(recs, tile); i < len(recs) && recs[i].Tile == tile {
+		return recs[i].TileCount
+	}
+	return TileCount{}
+}
+
+// span returns the frozen records with lo <= tile <= hi. lo and hi must
+// share a bucket.
+func (tc *tileCounter) span(lo, hi seq.Kmer) []TileEntry {
+	b := tc.bucketOf(lo)
+	recs := tc.recs[tc.off[b]:tc.off[b+1]]
+	recs = recs[lowerBound(recs, lo):]
+	end := 0
+	for end < len(recs) && recs[end].Tile <= hi {
+		end++
+	}
+	return recs[:end]
+}
+
+// forEach visits every distinct tile, in table order while counting and
+// in ascending order once frozen.
 func (tc *tileCounter) forEach(fn func(tile seq.Kmer, c TileCount)) {
-	for i, v := range tc.oc {
-		if v != 0 {
-			fn(tc.keys[i], TileCount{Oc: v, Og: tc.og[i]})
+	for _, r := range tc.recs {
+		if r.Oc != 0 {
+			fn(r.Tile, r.TileCount)
 		}
 	}
 }

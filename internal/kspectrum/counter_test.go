@@ -98,8 +98,9 @@ func TestCounterSaturatesAtMaxUint32(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tc.add(km, true)
 	}
-	tc.oc[mixSlot(tc, km)] = ^uint32(0)
+	tc.recs[mixSlot(tc, km)].Oc = ^uint32(0)
 	tc.add(km, false)
+	tc.freeze(0, 0)
 	if got := tc.get(km); got.Oc != ^uint32(0) {
 		t.Fatalf("tile Oc = %d want MaxUint32", got.Oc)
 	}
@@ -147,9 +148,9 @@ func TestCounterTryIncFixedCapacity(t *testing.T) {
 
 // mixSlot locates km's slot in a tileCounter (test helper).
 func mixSlot(tc *tileCounter, km seq.Kmer) uint64 {
-	mask := uint64(len(tc.keys) - 1)
+	mask := uint64(len(tc.recs) - 1)
 	i := mix(uint64(km)) & mask
-	for tc.keys[i] != km || tc.oc[i] == 0 {
+	for tc.recs[i].Tile != km || tc.recs[i].Oc == 0 {
 		i = (i + 1) & mask
 	}
 	return i

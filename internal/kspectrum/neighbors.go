@@ -12,26 +12,61 @@ import (
 // NeighborIndex retrieves the d-neighborhood N^d of any kmer within the
 // spectrum: all spectrum kmers at Hamming distance at most d. It implements
 // the replicated masked-sort strategy of §2.3: the k positions are divided
-// into c chunks; for every choice of d chunks the spectrum is sorted with
-// those chunks masked out. Two kmers within Hamming distance d agree on at
-// least c-d chunks, so they collide under at least one of the C(c,d) masks,
-// making retrieval exact.
+// into c chunks; for every choice of d chunks the spectrum is grouped by
+// the kmer bits outside those chunks. Two kmers within Hamming distance d
+// agree on at least c-d chunks, so they collide under at least one of the
+// C(c,d) masks, making retrieval exact.
 type NeighborIndex struct {
 	spec     *Spectrum
 	D        int
 	C        int
 	masks    []seq.Kmer // bitmask of the 2-bit positions zeroed per replica
-	replicas [][]int32  // spectrum indices sorted by masked kmer value
-	// lazy, when non-nil, defers each replica's sort to its first use
-	// (NewNeighborIndexLazy): replicas[r] is then written exactly once
-	// under lazy[r] and nil until the spectrum passes Verify.
+	replicas []replica
+	// lazy, when non-nil, defers each replica's permutation to its first
+	// use (NewNeighborIndexLazy): replicas[r].idx and .off are then
+	// written exactly once under lazy[r] and stay nil until the spectrum
+	// passes Verify.
 	lazy []sync.Once
+}
+
+// replica is one masked copy of the spectrum, bucket-addressed: a kmer's
+// unmasked bits, packed together into a key, select its bucket by their
+// top bits, and bucket b lists the spectrum indices idx[off[b]:off[b+1]]
+// in ascending order. Kmers equal under the mask share a key and so a
+// bucket; a lookup scans that one bucket instead of binary-searching the
+// whole permutation.
+type replica struct {
+	runs  []bitRun // the unmasked bit runs, most significant first
+	shift uint     // key >> shift is the bucket
+	off   []uint32 // len = buckets+1
+	idx   []int32  // len(spec.Kmers) spectrum indices, grouped by bucket
+}
+
+// bitRun is a contiguous run of kmer bits that a replica's mask keeps.
+type bitRun struct {
+	shift, width uint
+}
+
+// key packs km's unmasked bits together, most significant run first.
+func (rp *replica) key(km seq.Kmer) uint64 {
+	var key uint64
+	for _, r := range rp.runs {
+		key = key<<r.width | uint64(km)>>r.shift&(1<<r.width-1)
+	}
+	return key
+}
+
+// bucket returns the indices sharing km's bucket.
+func (rp *replica) bucket(km seq.Kmer) []int32 {
+	b := rp.key(km) >> rp.shift
+	return rp.idx[rp.off[b]:rp.off[b+1]]
 }
 
 // NewNeighborIndex builds the index eagerly. c must satisfy d < c <= k;
 // larger c costs more replicas (C(c,d)) but each replica bucket is more
-// selective. Building sorts the full spectrum C(c,d) times — a full scan
-// — so a memory-mapped spectrum is verified (whole-file CRC) first.
+// selective. Building scans the full spectrum twice per replica — a
+// counting sort — so a memory-mapped spectrum is verified (whole-file
+// CRC) first.
 func NewNeighborIndex(spec *Spectrum, d, c int) (*NeighborIndex, error) {
 	ni, err := newNeighborIndex(spec, d, c)
 	if err != nil {
@@ -40,16 +75,16 @@ func NewNeighborIndex(spec *Spectrum, d, c int) (*NeighborIndex, error) {
 	if err := spec.Verify(); err != nil {
 		return nil, err
 	}
-	for r := range ni.masks {
-		ni.replicas[r] = ni.buildReplica(r)
+	for r := range ni.replicas {
+		ni.buildReplica(&ni.replicas[r])
 	}
 	return ni, nil
 }
 
 // NewNeighborIndexLazy validates the parameters eagerly but defers each
-// replica's sorted permutation to its first Neighbors call, so a service
-// over a freshly-mapped spectrum starts serving without paying C(c,d)
-// full-spectrum sorts up front. The first materialization verifies the
+// replica's permutation to its first Neighbors call, so a service over a
+// freshly-mapped spectrum starts serving without paying C(c,d)
+// full-spectrum passes up front. The first materialization verifies the
 // spectrum; if verification fails, the failure is sticky on the spectrum
 // (Spectrum.Err) and Neighbors answers empty rather than serving results
 // computed from corrupt bytes. Materialization is safe for concurrent
@@ -63,8 +98,8 @@ func NewNeighborIndexLazy(spec *Spectrum, d, c int) (*NeighborIndex, error) {
 	return ni, nil
 }
 
-// newNeighborIndex checks parameters and computes the replica masks —
-// the cheap, size-independent part shared by both construction modes.
+// newNeighborIndex checks parameters and computes the replica masks and
+// key geometry — the cheap part shared by both construction modes.
 func newNeighborIndex(spec *Spectrum, d, c int) (*NeighborIndex, error) {
 	k := spec.K
 	if d < 0 {
@@ -75,6 +110,12 @@ func newNeighborIndex(spec *Spectrum, d, c int) (*NeighborIndex, error) {
 	}
 	ni := &NeighborIndex{spec: spec, D: d, C: c}
 	chunks := chunkRanges(k, c)
+	// At most about one bucket per four kmers keeps each offset table
+	// within a quarter of its permutation's entry count.
+	bucketBits := uint(0)
+	for 4<<(bucketBits+1) <= len(spec.Kmers) {
+		bucketBits++
+	}
 	for _, combo := range combinations(c, d) {
 		var mask seq.Kmer
 		for _, ci := range combo {
@@ -84,68 +125,102 @@ func newNeighborIndex(spec *Spectrum, d, c int) (*NeighborIndex, error) {
 			}
 		}
 		ni.masks = append(ni.masks, mask)
+		rp := replica{runs: unmaskedRuns(mask, k)}
+		keyBits := uint(0)
+		for _, r := range rp.runs {
+			keyBits += r.width
+		}
+		rp.shift = keyBits - min(bucketBits, keyBits)
+		ni.replicas = append(ni.replicas, rp)
 	}
-	ni.replicas = make([][]int32, len(ni.masks))
 	return ni, nil
 }
 
-// buildReplica sorts the spectrum's index permutation under replica r's
-// mask.
-func (ni *NeighborIndex) buildReplica(r int) []int32 {
-	spec, mask := ni.spec, ni.masks[r]
-	idx := make([]int32, len(spec.Kmers))
-	for i := range idx {
-		idx[i] = int32(i)
+// unmaskedRuns lists the runs of the 2k kmer bits that mask leaves
+// clear, most significant first.
+func unmaskedRuns(mask seq.Kmer, k int) []bitRun {
+	var runs []bitRun
+	for bit := 2 * k; bit > 0; {
+		if mask>>(bit-1)&1 == 1 {
+			bit--
+			continue
+		}
+		top := bit
+		for bit > 0 && mask>>(bit-1)&1 == 0 {
+			bit--
+		}
+		runs = append(runs, bitRun{shift: uint(bit), width: uint(top - bit)})
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		return spec.Kmers[idx[a]]&^mask < spec.Kmers[idx[b]]&^mask
-	})
-	return idx
+	return runs
+}
+
+// buildReplica fills rp's buckets with a counting sort of the spectrum
+// indices by bucket: one pass counts, a prefix sum turns the counts into
+// bucket ends, and a descending pass places each index at its bucket's
+// decremented end, which leaves every bucket in ascending index order and
+// every off[b] at its bucket's start. O(n) per replica.
+func (ni *NeighborIndex) buildReplica(rp *replica) {
+	kmers := ni.spec.Kmers
+	nb := int(rp.key(^seq.Kmer(0))>>rp.shift) + 1
+	off := make([]uint32, nb+1)
+	for _, km := range kmers {
+		off[rp.key(km)>>rp.shift]++
+	}
+	for b := 1; b <= nb; b++ {
+		off[b] += off[b-1]
+	}
+	idx := make([]int32, len(kmers))
+	for i := len(kmers) - 1; i >= 0; i-- {
+		b := rp.key(kmers[i]) >> rp.shift
+		off[b]--
+		idx[off[b]] = int32(i)
+	}
+	rp.off, rp.idx = off, idx
 }
 
 // replica returns replica r, materializing it on first use in lazy mode.
-// It is nil when the backing spectrum failed verification.
-func (ni *NeighborIndex) replica(r int) []int32 {
+// Its offsets are empty when the backing spectrum failed verification.
+func (ni *NeighborIndex) replica(r int) *replica {
+	rp := &ni.replicas[r]
 	if ni.lazy == nil {
-		return ni.replicas[r]
+		return rp
 	}
 	ni.lazy[r].Do(func() {
-		// The sort reads every kmer — a full scan — so the deferred
-		// whole-file check runs first. sync.Once publishes the write to
-		// every later caller.
+		// The counting sort reads every kmer — a full scan — so the
+		// deferred whole-file check runs first. sync.Once publishes the
+		// writes to every later caller.
 		if ni.spec.Verify() != nil {
 			return
 		}
-		ni.replicas[r] = ni.buildReplica(r)
+		ni.buildReplica(rp)
 	})
-	return ni.replicas[r]
+	return rp
 }
 
-// Replicas reports how many sorted copies the index stores (C(c,d)),
+// Replicas reports how many masked copies the index stores (C(c,d)),
 // the paper's memory knob.
 func (ni *NeighborIndex) Replicas() int { return len(ni.replicas) }
 
 // Neighbors appends to dst the spectrum indices of all kmers within Hamming
 // distance ni.D of km (including km itself when present) and returns the
-// extended slice. Results are deduplicated and unordered. Passing a reused
-// dst makes the call allocation-free — the correction inner loop depends
-// on that.
+// extended slice, deduplicated in ascending order. Passing a reused dst
+// makes the call allocation-free — the correction inner loop depends on
+// that.
 //
 //repro:noalloc
 func (ni *NeighborIndex) Neighbors(km seq.Kmer, dst []int32) []int32 {
 	k := ni.spec.K
+	kmers := ni.spec.Kmers
 	start := len(dst)
 	for r, mask := range ni.masks {
+		rp := ni.replica(r)
+		if rp.off == nil {
+			continue // lazy materialization failed verification
+		}
 		key := km &^ mask
-		idx := ni.replica(r)
-		kmers := ni.spec.Kmers
-		// The closure captures only stack values; BenchmarkNeighbors pins
-		// this call at zero allocations.
-		lo := sort.Search(len(idx), func(i int) bool { return kmers[idx[i]]&^mask >= key }) //repro:alloc-ok
-		for i := lo; i < len(idx) && kmers[idx[i]]&^mask == key; i++ {
-			cand := idx[i]
-			if seq.HammingKmer(km, kmers[cand], k) <= ni.D {
-				dst = append(dst, cand)
+		for _, i := range rp.bucket(km) {
+			if cand := kmers[i]; cand&^mask == key && seq.HammingKmer(km, cand, k) <= ni.D {
+				dst = append(dst, i)
 			}
 		}
 	}
@@ -168,17 +243,20 @@ func (ni *NeighborIndex) Neighbors(km seq.Kmer, dst []int32) []int32 {
 // ascending kmer order and ascending index order are the same
 // enumeration — the property the distributed path relies on to make a
 // merged multi-shard neighborhood byte-identical to a local one.
+//
+//repro:noalloc
 func (ni *NeighborIndex) NeighborKmers(km seq.Kmer, dst []seq.Kmer) []seq.Kmer {
 	k := ni.spec.K
+	kmers := ni.spec.Kmers
 	start := len(dst)
 	for r, mask := range ni.masks {
+		rp := ni.replica(r)
+		if rp.off == nil {
+			continue
+		}
 		key := km &^ mask
-		idx := ni.replica(r)
-		kmers := ni.spec.Kmers
-		lo := sort.Search(len(idx), func(i int) bool { return kmers[idx[i]]&^mask >= key })
-		for i := lo; i < len(idx) && kmers[idx[i]]&^mask == key; i++ {
-			cand := kmers[idx[i]]
-			if seq.HammingKmer(km, cand, k) <= ni.D {
+		for _, i := range rp.bucket(km) {
+			if cand := kmers[i]; cand&^mask == key && seq.HammingKmer(km, cand, k) <= ni.D {
 				dst = append(dst, cand)
 			}
 		}

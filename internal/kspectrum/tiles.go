@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/seq"
 )
@@ -16,6 +17,13 @@ type TileCount struct {
 	Og uint32
 }
 
+// TileEntry is one distinct tile and its counts, the record a TileSet
+// stores per tile and PrefixRange returns.
+type TileEntry struct {
+	Tile seq.Kmer
+	TileCount
+}
+
 // TileSet counts tiles: l-concatenations of two k-mers, i.e. substrings of
 // length 2k-l (Definition 2.1 with |t| = 2k-l). Tiles are packed like kmers,
 // so 2k-l must not exceed seq.MaxK.
@@ -24,6 +32,10 @@ type TileCount struct {
 // their high bits into prefix shards, each a tileCounter behind its own
 // lock, and Add fans large chunks out to a worker pool. Counts are the same
 // for every (Workers, Shards) choice.
+//
+// Counting ends with Freeze, which sorts every shard's table in place.
+// Lookups (Get, PrefixRange) read the frozen form only — the first one
+// freezes a set nobody froze — and Add on a frozen set panics.
 type TileSet struct {
 	K       int
 	Overlap int // l, the kmer overlap inside a tile
@@ -33,6 +45,11 @@ type TileSet struct {
 	// shift maps a tile to its shard (PrefixPartition.Shift over tiles).
 	shift  uint
 	shards []tileShard
+
+	// frozen is set once Freeze has sorted every shard; freezeMu
+	// serializes concurrent first freezes.
+	frozen   atomic.Bool
+	freezeMu sync.Mutex
 }
 
 // tileShard is one stripe of the tile counts, the analogue of countShard.
@@ -60,6 +77,9 @@ func CountTiles(reads []seq.Read, k, overlap int, qc byte, opts ...BuildOptions)
 		o = opts[0]
 	}
 	workers, shardBits := o.resolve(tileLen)
+	// A shard prefix of at most 2k bits keeps every tile that starts with
+	// one kmer in one shard, so PrefixRange reads a single table.
+	shardBits = min(shardBits, uint(2*k))
 	part := PrefixPartition{K: tileLen, Bits: shardBits}
 	ts := &TileSet{
 		K: k, Overlap: overlap, TileLen: tileLen, Qc: qc,
@@ -77,7 +97,11 @@ func CountTiles(reads []seq.Read, k, overlap int, qc byte, opts ...BuildOptions)
 // Add merges one chunk of reads into the tile counts, enabling the §2.3
 // divide-and-merge construction. Like SpectrumBuilder.Add it fans large
 // chunks out to the set's workers, and it may be called concurrently.
+// Adding to a frozen set panics: its tables are sorted and read-only.
 func (ts *TileSet) Add(reads []seq.Read) {
+	if ts.frozen.Load() {
+		panic("kspectrum: TileSet.Add after Freeze: a frozen tile set is read-only")
+	}
 	countChunks(reads, ts.workers, func() func([]seq.Read, int) {
 		sc := &tileScratch{shards: make([][]tileHit, len(ts.shards))}
 		return func(chunk []seq.Read, _ int) { ts.countChunk(chunk, sc) }
@@ -161,11 +185,64 @@ func (ts *TileSet) appendTiles(dst []tileHit, bases, qual []byte) []tileHit {
 	return dst
 }
 
-// Get returns the counts for a packed tile (zero counts if unseen). The
-// correction kernel calls it per candidate tile, so it is kept small
-// enough to inline.
+// Freeze ends counting: each shard's hash table becomes, in place, its
+// tiles in ascending order behind a small bucket table (see
+// tileCounter.freeze), shards in parallel on the set's workers. It is
+// idempotent and safe to call concurrently; Add after it panics.
+func (ts *TileSet) Freeze() {
+	if ts.frozen.Load() {
+		return
+	}
+	ts.freezeMu.Lock()
+	defer ts.freezeMu.Unlock()
+	if ts.frozen.Load() {
+		return
+	}
+	// Buckets take tile bits below the shard prefix but stay inside the
+	// leading kmer's 2k bits, so a prefix range never crosses a bucket.
+	shardBits := 2*uint(ts.TileLen) - ts.shift
+	maxBits := 2*uint(ts.K) - shardBits
+	next := make(chan int, len(ts.shards))
+	for i := range ts.shards {
+		next <- i
+	}
+	close(next)
+	var wg sync.WaitGroup
+	for w := 0; w < min(ts.workers, len(ts.shards)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				ts.shards[i].m.freeze(ts.shift, maxBits)
+			}
+		}()
+	}
+	wg.Wait()
+	ts.frozen.Store(true)
+}
+
+// Get returns the counts for a packed tile (zero counts if unseen): a
+// binary search within one bucket of the frozen table.
 func (ts *TileSet) Get(tile seq.Kmer) TileCount {
+	if !ts.frozen.Load() {
+		ts.Freeze()
+	}
 	return ts.shards[uint64(tile)>>ts.shift].m.get(tile)
+}
+
+// PrefixRange returns every tile whose leading kmer is ka, in ascending
+// tile order — so, for a fixed ka, in ascending order of the tiles'
+// second kmers. The slice aliases the frozen table and must not be
+// modified.
+//
+//repro:noalloc
+func (ts *TileSet) PrefixRange(ka seq.Kmer) []TileEntry {
+	if !ts.frozen.Load() {
+		ts.Freeze()
+	}
+	tail := 2 * uint(ts.K-ts.Overlap)
+	lo := ka << tail
+	return ts.shards[uint64(lo)>>ts.shift].m.span(lo, lo|(1<<tail-1))
 }
 
 // Size returns the number of distinct tiles.

@@ -2,7 +2,9 @@ package kspectrum
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -259,6 +261,171 @@ func TestTileSetMatchesMapReference(t *testing.T) {
 					t.Fatalf("workers=%d %s: OgQuantile(%v) = %d want %d", workers, name, f, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestTileSetFreezeContract: freezing changes the table's form, never its
+// content. Size, the Og histogram and every tile's counts equal the
+// counting table's before the freeze; unseen tiles answer zero; a second
+// Freeze changes nothing; and PrefixRange lists exactly the tiles with
+// the given leading kmer, in ascending order.
+func TestTileSetFreezeContract(t *testing.T) {
+	reads := mixedQualityReads(t, 2000)
+	const k, overlap = 8, 3
+	for _, workers := range []int{1, 2} {
+		ts, err := CountTiles(reads, k, overlap, 25, BuildOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, hist := ts.Size(), ts.OgHistogram(255)
+		before := map[seq.Kmer]TileCount{}
+		ts.forEach(func(tile seq.Kmer, c TileCount) { before[tile] = c })
+
+		ts.Freeze()
+		first := make([]*TileEntry, len(ts.shards))
+		for i := range ts.shards {
+			if recs := ts.shards[i].m.recs; len(recs) > 0 {
+				first[i] = &recs[0]
+			}
+		}
+		ts.Freeze()
+		for i := range ts.shards {
+			if recs := ts.shards[i].m.recs; len(recs) > 0 && &recs[0] != first[i] {
+				t.Fatalf("workers=%d: a second Freeze moved shard %d's records", workers, i)
+			}
+		}
+
+		if ts.Size() != size || !slices.Equal(ts.OgHistogram(255), hist) {
+			t.Fatalf("workers=%d: Size or OgHistogram changed across Freeze", workers)
+		}
+		prefixes := map[seq.Kmer][]seq.Kmer{}
+		tail := 2 * uint(k-overlap)
+		for tile, want := range before {
+			if got := ts.Get(tile); got != want {
+				t.Fatalf("workers=%d: Get(%v) = %+v after Freeze, %+v before", workers, tile, got, want)
+			}
+			prefixes[tile>>tail] = append(prefixes[tile>>tail], tile)
+		}
+		rng := rand.New(rand.NewSource(5))
+		mask := uint64(1)<<(2*uint(ts.TileLen)) - 1
+		for i := 0; i < 2000; i++ {
+			tile := seq.Kmer(rng.Uint64() & mask)
+			if _, seen := before[tile]; !seen && ts.Get(tile) != (TileCount{}) {
+				t.Fatalf("workers=%d: unseen tile %v has counts %+v", workers, tile, ts.Get(tile))
+			}
+			if ka := tile >> tail; len(prefixes[ka]) == 0 && len(ts.PrefixRange(ka)) != 0 {
+				t.Fatalf("workers=%d: PrefixRange(%v) lists tiles nobody counted", workers, ka)
+			}
+		}
+		for ka, tiles := range prefixes {
+			slices.Sort(tiles)
+			got := ts.PrefixRange(ka)
+			if len(got) != len(tiles) {
+				t.Fatalf("workers=%d: PrefixRange(%v) has %d tiles, want %d", workers, ka, len(got), len(tiles))
+			}
+			for i, e := range got {
+				if e.Tile != tiles[i] || e.TileCount != before[tiles[i]] {
+					t.Fatalf("workers=%d: PrefixRange(%v)[%d] = %+v, want %v %+v", workers, ka, i, e, tiles[i], before[tiles[i]])
+				}
+			}
+		}
+	}
+}
+
+// TestTileSetLookupFreezes: a set counted but never frozen freezes on its
+// first lookup, so Get and PrefixRange have one (frozen) path.
+func TestTileSetLookupFreezes(t *testing.T) {
+	ts, err := CountTiles(mkReads("ACGTACGGT"), 3, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts.Get(seq.MustPack("ACGTAC")).Oc != 1 || !ts.frozen.Load() {
+		t.Fatal("Get on an unfrozen set did not freeze it and answer")
+	}
+	if got := ts.PrefixRange(seq.MustPack("CGT")); len(got) != 1 || got[0].Tile != seq.MustPack("CGTACG") {
+		t.Fatalf("PrefixRange(CGT) = %+v", got)
+	}
+}
+
+// TestTileSetConcurrentFirstLookup: lookups racing on a set nobody froze
+// must freeze it exactly once and all answer from the frozen table. Run
+// under -race.
+func TestTileSetConcurrentFirstLookup(t *testing.T) {
+	reads := mixedQualityReads(t, 1000)
+	ref := tileOracle(reads, 2*8-3, 25)
+	ts, err := CountTiles(reads, 8, 3, 25, BuildOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for tile, want := range ref {
+				if g%2 == 1 {
+					if len(ts.PrefixRange(tile>>(2*5))) == 0 {
+						t.Errorf("PrefixRange misses the prefix of counted tile %v", tile)
+						return
+					}
+					continue
+				}
+				if got := ts.Get(tile); got != want {
+					t.Errorf("Get(%v) = %+v want %+v", tile, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestTileSetAddAfterFreezePanics: a frozen table is sorted and read-only,
+// so feeding it more reads must fail loudly, not corrupt it.
+func TestTileSetAddAfterFreezePanics(t *testing.T) {
+	ts, err := CountTiles(mkReads("ACGTACGGT"), 3, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.Freeze()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "Add after Freeze") {
+			t.Fatalf("Add after Freeze recovered %q, want a panic naming the misuse", msg)
+		}
+	}()
+	ts.Add(mkReads("TTTTTTTT"))
+}
+
+// TestTileSetFreezeAllocatesOnlyBuckets: freezing sorts the counting
+// table's own records in place. The only heap it takes is the bucket
+// tables, rounded up to the allocator's size classes, and a few words of
+// worker bookkeeping — far below one copy of the records, which would
+// cost 16 bytes a tile.
+func TestTileSetFreezeAllocatesOnlyBuckets(t *testing.T) {
+	reads := randomReads(t, 20000)
+	for _, workers := range []int{1, 2} {
+		ts, err := CountTiles(reads, 10, 0, 0, BuildOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ts.Freeze()
+		runtime.ReadMemStats(&after)
+		var buckets uint64
+		for i := range ts.shards {
+			buckets += uint64(len(ts.shards[i].m.off)) * 4
+		}
+		const slack = 16 << 10
+		allocated := after.TotalAlloc - before.TotalAlloc
+		if allocated > buckets+buckets/4+slack {
+			t.Fatalf("workers=%d: Freeze allocated %d bytes; bucket tables are %d", workers, allocated, buckets)
+		}
+		if records := uint64(ts.Size()) * 16; buckets*8 > records {
+			t.Fatalf("workers=%d: bucket tables of %d bytes for %d bytes of records", workers, buckets, records)
 		}
 	}
 }

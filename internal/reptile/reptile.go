@@ -266,6 +266,7 @@ func (b *Builder) Finish() (*Corrector, error) {
 	if err != nil {
 		return nil, err
 	}
+	b.tiles.Freeze()
 	cg, cm := deriveThresholds(b.tiles)
 	if p.Cg == 0 {
 		p.Cg = cg
@@ -374,7 +375,8 @@ type mutantTile struct {
 
 // scratch holds the per-goroutine buffers of the correction inner loop.
 // Every slice is reused across tiles and reads, so steady-state correction
-// performs no allocations: mutant candidates, the two kmer neighborhoods,
+// performs no allocations: mutant candidates, the leading kmer's
+// neighborhood, the candidates' second kmers and their spectrum counts,
 // the unpacked replacement tile, and the reverse-complement pass buffers
 // all live here. CorrectAll and CorrectStream hand each worker its own
 // scratch; CorrectRead draws one from a pool.
@@ -382,7 +384,9 @@ type scratch struct {
 	mutants []mutantTile
 	sel     []mutantTile // dominating/strong candidates of the current tile
 	best    []mutantTile // minimum-Hamming subset of sel
-	na, nb  []seq.Kmer   // d-neighborhoods of the two constituent kmers
+	na      []seq.Kmer   // d-neighborhood of the leading kmer
+	kbs     []seq.Kmer   // second kmers of the mutant candidates
+	counts  []uint32     // spectrum counts of kbs
 	tile    []byte       // unpacked replacement tile
 	rcSeq   []byte       // reverse-complement pass: bases
 	rcQual  []byte       // reverse-complement pass: qualities
@@ -457,32 +461,56 @@ func (c *Corrector) correctTile(bases, qual []byte, pos int, d1, d2 int, s *scra
 }
 
 // mutantTiles enumerates the observed d-mutant tiles of (a,b), excluding the
-// tile itself (Definition 2.2 with the overlap-consistency constraint),
-// into the scratch mutant buffer. The candidate kmers arrive by value in
-// ascending order from either neighborhood source, so the enumeration —
-// and every downstream decision — is identical for local and remote
-// backends.
+// tile itself (Definition 2.2), into the scratch mutant buffer. Only a's
+// neighborhood is queried: for each ka in it, the frozen tile table's
+// prefix range lists the observed tiles starting with ka, and a tile's
+// second kmer kb qualifies when it lies within d2 of b. Because both kmers
+// come from one observed tile, they overlap consistently by construction.
+// A kb must also be a spectrum kmer — a tile counted from other reads than
+// the spectrum's need not be — which one batched CountMany through the
+// backend checks. Candidates come out with ka ascending (the neighborhood
+// order) and kb ascending within one ka (the prefix-range order), so the
+// enumeration — and every downstream decision — is identical for local
+// and remote backends.
+//
+//repro:noalloc
 func (c *Corrector) mutantTiles(a, b seq.Kmer, d1, d2 int, s *scratch) []mutantTile {
-	p := c.P
+	k := c.P.K
+	kMask := seq.Kmer(1)<<(2*uint(k)) - 1
 	s.na = c.hood(a, d1, s.na[:0], s)
-	s.nb = c.hood(b, d2, s.nb[:0], s)
-	na, nb := s.na, s.nb
 	out := s.mutants[:0]
-	for _, ka := range na {
-		for _, kb := range nb {
+	kbs := s.kbs[:0]
+	for _, ka := range s.na {
+		ha := seq.HammingKmer(a, ka, k)
+		for _, e := range c.Tiles.PrefixRange(ka) {
+			kb := e.Tile & kMask
 			if ka == a && kb == b {
 				continue
 			}
-			if p.Overlap > 0 && !overlapConsistent(ka, kb, p.K, p.Overlap) {
+			hb := seq.HammingKmer(b, kb, k)
+			if hb > d2 {
 				continue
 			}
-			tc := c.Tiles.Get(c.Tiles.PackTile(ka, kb))
-			if tc.Oc == 0 {
-				continue
-			}
-			hd := seq.HammingKmer(a, ka, p.K) + seq.HammingKmer(b, kb, p.K)
-			out = append(out, mutantTile{a: ka, b: kb, og: tc.Og, hd: hd})
+			out = append(out, mutantTile{a: ka, b: kb, og: e.Og, hd: ha + hb})
+			kbs = append(kbs, kb)
 		}
+	}
+	s.kbs = kbs
+	if len(out) > 0 {
+		if cap(s.counts) < len(kbs) {
+			s.counts = make([]uint32, len(kbs))
+		}
+		counts := s.counts[:len(kbs)]
+		if err := c.backend.CountMany(kbs, counts); err != nil && s.err == nil {
+			s.err = err
+		}
+		kept := out[:0]
+		for i, m := range out {
+			if counts[i] != 0 {
+				kept = append(kept, m)
+			}
+		}
+		out = kept
 	}
 	s.mutants = out
 	return out
@@ -496,13 +524,6 @@ func (c *Corrector) hood(km seq.Kmer, d int, dst []seq.Kmer, s *scratch) []seq.K
 		s.err = err
 	}
 	return out
-}
-
-// overlapConsistent checks that the last l bases of ka equal the first l of kb.
-func overlapConsistent(ka, kb seq.Kmer, k, l int) bool {
-	suffix := ka & (seq.Kmer(1)<<(2*uint(l)) - 1)
-	prefix := kb >> (2 * uint(k-l))
-	return suffix == prefix
 }
 
 // closestInto collects the mutants achieving the minimum Hamming distance

@@ -311,3 +311,36 @@ func TestPhase1IndependentOfWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestCorrectInPlaceAllocFree pins CorrectInPlace at zero allocations per
+// read on a Corrector whose tile set Finish froze: prefix ranges alias
+// the frozen table and every candidate buffer lives in the scratch.
+func TestCorrectInPlaceAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops scratch on purpose")
+	}
+	_, sim := buildTestData(t, 4000, 1500, 36, 0.01, 23)
+	reads := simulate.Reads(sim)
+	p := defaultTestParams()
+	p.D, p.C = 2, 6
+	c, err := New(reads, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqBuf := make([]byte, 0, 64)
+	qualBuf := make([]byte, 0, 64)
+	i := 0
+	correct := func() {
+		r := reads[i%len(reads)]
+		i++
+		seqBuf = append(seqBuf[:0], r.Seq...)
+		qualBuf = append(qualBuf[:0], r.Qual...)
+		c.CorrectInPlace(seqBuf, qualBuf)
+	}
+	for range reads {
+		correct() // grow the pooled scratch to its steady-state size
+	}
+	if allocs := testing.AllocsPerRun(500, correct); allocs != 0 {
+		t.Fatalf("CorrectInPlace: %v allocs/op, want 0", allocs)
+	}
+}

@@ -69,7 +69,7 @@ func NewService(spec *kspectrum.Spectrum, p Params) (*Service, error) {
 		return nil, err
 	}
 	// A memory-mapped spectrum keeps service construction instant: the
-	// replica sorts (and the deferred whole-file check they trigger)
+	// replica builds (and the deferred whole-file check they trigger)
 	// materialize on the first request that needs a neighborhood, not at
 	// registration. Copied spectra keep the historical eager build, so a
 	// daemon's first request pays no index-build latency.
@@ -164,6 +164,21 @@ func (s *Service) CorrectChunk(reads []seq.Read, workers int) ([]seq.Read, *Corr
 // the correction worker pool promptly and returns ctx.Err(), so a
 // dropped request aborts its correction work.
 func (s *Service) CorrectChunkCtx(ctx context.Context, reads []seq.Read, workers int) ([]seq.Read, *Corrector, error) {
+	c, err := s.chunkCorrector(ctx, reads)
+	if err != nil {
+		return nil, nil, err
+	}
+	out, err := c.CorrectAllCtx(ctx, reads, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, c, nil
+}
+
+// chunkCorrector resolves one chunk's Corrector: Qc, the chunk's frozen
+// tile counts and the thresholds derived from them, over the shared
+// spectrum and the service's query seam bound to ctx.
+func (s *Service) chunkCorrector(ctx context.Context, reads []seq.Read) (*Corrector, error) {
 	p := s.p
 	if p.Qc == 0 {
 		p.Qc = kspectrum.QualityQuantile(reads, 0.17)
@@ -173,13 +188,14 @@ func (s *Service) CorrectChunkCtx(ctx context.Context, reads []seq.Read, workers
 	// daemon already runs requests side by side.
 	tiles, err := kspectrum.CountTiles(nil, p.K, p.Overlap, p.Qc, kspectrum.BuildOptions{Workers: 1})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	prepared := make([]seq.Read, len(reads))
 	for i, r := range reads {
 		prepared[i] = prepareRead(r, p)
 	}
 	tiles.Add(prepared)
+	tiles.Freeze()
 	cg, cm := deriveThresholds(tiles)
 	if p.Cg == 0 {
 		p.Cg = cg
@@ -201,9 +217,5 @@ func (s *Service) CorrectChunkCtx(ctx context.Context, reads []seq.Read, workers
 			c.neigh = bn
 		}
 	}
-	out, err := c.CorrectAllCtx(ctx, reads, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, c, nil
+	return c, nil
 }
