@@ -1,7 +1,6 @@
 package fastq
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -44,9 +43,17 @@ func DecodeChunk(r io.Reader, maxReads int) ([]seq.Read, error) {
 // DecodeChunk. EncodeChunk(DecodeChunk(b)) reproduces any well-formed b
 // (the Reader↔Writer identity of fuzz_test.go).
 func EncodeChunk(reads []seq.Read) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := Write(&buf, reads); err != nil {
-		return nil, err
+	n := 0
+	for _, rd := range reads {
+		if err := rd.Validate(); err != nil {
+			return nil, err
+		}
+		n += recordLen(rd)
 	}
-	return buf.Bytes(), nil
+	// One exactly sized buffer: a response body costs a single allocation.
+	out := make([]byte, 0, n)
+	for _, rd := range reads {
+		out = appendRecord(out, rd)
+	}
+	return out, nil
 }

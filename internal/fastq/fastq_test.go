@@ -222,3 +222,57 @@ func TestReaderLargeStreamNoAliasing(t *testing.T) {
 		}
 	}
 }
+
+// referenceRecord is the record format spelled out with fmt, independent
+// of the encoder under test.
+func referenceRecord(rd seq.Read) string {
+	q := make([]byte, len(rd.Seq))
+	for i := range q {
+		v := byte(40)
+		if rd.Qual != nil {
+			v = rd.Qual[i]
+		}
+		q[i] = min(v, MaxQuality) + PhredOffset
+	}
+	return fmt.Sprintf("@%s\n%s\n+\n%s\n", rd.ID, rd.Seq, q)
+}
+
+// TestEncodeChunkMatchesWrite: EncodeChunk and the streaming Writer
+// render every read exactly as the record format says — scored, unscored,
+// clamped and empty reads alike — and EncodeChunk takes one allocation
+// for the whole body.
+func TestEncodeChunkMatchesWrite(t *testing.T) {
+	reads := []seq.Read{
+		{ID: "a", Seq: []byte("ACGTN"), Qual: []byte{0, 10, 40, 93, 200}},
+		{ID: "no-quality", Seq: []byte("TTGCA")},
+		{ID: "empty"},
+		{ID: "b c", Seq: []byte("G"), Qual: []byte{2}},
+	}
+	var want strings.Builder
+	for _, rd := range reads {
+		want.WriteString(referenceRecord(rd))
+	}
+	got, err := EncodeChunk(reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want.String() {
+		t.Fatalf("EncodeChunk:\n%q\nwant\n%q", got, want.String())
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, reads); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != want.String() {
+		t.Fatalf("Write:\n%q\nwant\n%q", buf.String(), want.String())
+	}
+	if len(got) != cap(got) {
+		t.Errorf("EncodeChunk sized its buffer %d for %d bytes", cap(got), len(got))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = EncodeChunk(reads) }); allocs != 1 {
+		t.Errorf("EncodeChunk: %v allocations, want 1", allocs)
+	}
+	if _, err := EncodeChunk([]seq.Read{{ID: "x", Seq: []byte("AC"), Qual: []byte{1}}}); err == nil {
+		t.Error("EncodeChunk accepted a read whose scores do not match its bases")
+	}
+}

@@ -2,8 +2,6 @@ package fastq
 
 import (
 	"bufio"
-	"bytes"
-	"fmt"
 	"io"
 
 	"repro/internal/seq"
@@ -69,7 +67,8 @@ func (cr *ChunkReader) Close() error {
 // Writer emits reads incrementally in FASTQ format — the consumer side of
 // the streaming pipeline. Callers must Flush once done.
 type Writer struct {
-	bw *bufio.Writer
+	bw  *bufio.Writer
+	rec []byte // the current record, reused across reads
 }
 
 // NewWriter wraps w in a streaming FASTQ writer.
@@ -83,24 +82,34 @@ func (w *Writer) WriteRead(rd seq.Read) error {
 	if err := rd.Validate(); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w.bw, "@%s\n%s\n+\n", rd.ID, rd.Seq); err != nil {
-		return err
-	}
-	qual := rd.Qual
-	if qual == nil {
-		qual = bytes.Repeat([]byte{40}, len(rd.Seq))
-	}
-	line := make([]byte, len(qual))
-	for i, q := range qual {
-		if q > MaxQuality {
-			q = MaxQuality
+	w.rec = appendRecord(w.rec[:0], rd)
+	_, err := w.bw.Write(w.rec)
+	return err
+}
+
+// recordLen is the length of rd's FASTQ record.
+func recordLen(rd seq.Read) int {
+	return len("@\n\n+\n\n") + len(rd.ID) + 2*len(rd.Seq)
+}
+
+// appendRecord appends rd's FASTQ record to dst: header, bases, separator
+// and the quality line, scores clamped to MaxQuality and offset by
+// PhredOffset (40 for every base of a read without scores). rd must be
+// valid.
+func appendRecord(dst []byte, rd seq.Read) []byte {
+	dst = append(dst, '@')
+	dst = append(dst, rd.ID...)
+	dst = append(dst, '\n')
+	dst = append(dst, rd.Seq...)
+	dst = append(dst, "\n+\n"...)
+	for i := range rd.Seq {
+		q := byte(40)
+		if rd.Qual != nil {
+			q = rd.Qual[i]
 		}
-		line[i] = q + PhredOffset
+		dst = append(dst, min(q, MaxQuality)+PhredOffset)
 	}
-	if _, err := w.bw.Write(line); err != nil {
-		return err
-	}
-	return w.bw.WriteByte('\n')
+	return append(dst, '\n')
 }
 
 // WriteChunk appends a chunk of reads.

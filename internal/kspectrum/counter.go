@@ -247,6 +247,16 @@ func (tc *tileCounter) alloc(slots int) {
 // Len returns the number of distinct tiles.
 func (tc *tileCounter) Len() int { return tc.n }
 
+// reset empties the table back to its counting form at its full
+// capacity. A frozen table cut recs down to its n records; the array
+// behind them still has the power-of-two length the hash needs.
+func (tc *tileCounter) reset() {
+	tc.recs = tc.recs[:cap(tc.recs)]
+	clear(tc.recs)
+	tc.grow = len(tc.recs) * 3 / 4
+	tc.n = 0
+}
+
 // add records one occurrence of tile, high-quality when hq. Like
 // Counter.Inc, counts saturate at MaxUint32 — Oc wrapping to 0 would free
 // an occupied slot.
@@ -303,7 +313,8 @@ func (tc *tileCounter) rehash() {
 // is cut to them, and slices.SortFunc orders them in place. A bucket is
 // then selected by the up to maxBits tile bits just below the top
 // 2·TileLen−low bits the table's tiles all share (its shard prefix).
-// Only the bucket table is allocated. It runs once, under TileSet.Freeze.
+// Only the bucket table is allocated, and a table refilled after reset
+// reuses its previous one. It runs once per count, under TileSet.Freeze.
 func (tc *tileCounter) freeze(low, maxBits uint) {
 	n := 0
 	for _, r := range tc.recs {
@@ -321,7 +332,13 @@ func (tc *tileCounter) freeze(low, maxBits uint) {
 	}
 	tc.bshift = low - bits
 	tc.bmask = 1<<bits - 1
-	tc.off = make([]uint32, 1<<bits+1)
+	if nb := 1<<bits + 1; cap(tc.off) >= nb {
+		// A reset table keeps its bucket table for the next freeze.
+		tc.off = tc.off[:nb]
+		clear(tc.off)
+	} else {
+		tc.off = make([]uint32, nb)
+	}
 	for _, r := range tc.recs {
 		tc.off[tc.bucketOf(r.Tile)+1]++
 	}

@@ -123,8 +123,21 @@ type tileScratch struct {
 
 // countChunk routes one read chunk's tiles into the worker's per-shard
 // buffers (reused across chunks, reset here), then flushes each buffer
-// into its counter under the stripe lock.
+// into its counter under the stripe lock. A set with one shard has
+// nothing to route: the chunk counts straight into it under its lock.
 func (ts *TileSet) countChunk(reads []seq.Read, sc *tileScratch) {
+	if len(ts.shards) == 1 {
+		shard := &ts.shards[0]
+		shard.mu.Lock()
+		for _, r := range reads {
+			sc.read = ts.appendTiles(sc.read[:0], r.Seq, r.Qual)
+			for _, h := range sc.read {
+				shard.m.add(h.tile, h.hq)
+			}
+		}
+		shard.mu.Unlock()
+		return
+	}
 	resetBuffers(sc.shards, 2*windowsIn(reads, ts.TileLen))
 	for _, r := range reads {
 		sc.read = ts.appendTiles(sc.read[:0], r.Seq, r.Qual)
@@ -202,6 +215,14 @@ func (ts *TileSet) Freeze() {
 	// leading kmer's 2k bits, so a prefix range never crosses a bucket.
 	shardBits := 2*uint(ts.TileLen) - ts.shift
 	maxBits := 2*uint(ts.K) - shardBits
+	if ts.workers == 1 || len(ts.shards) == 1 {
+		// One worker freezes on the caller's goroutine.
+		for i := range ts.shards {
+			ts.shards[i].m.freeze(ts.shift, maxBits)
+		}
+		ts.frozen.Store(true)
+		return
+	}
 	next := make(chan int, len(ts.shards))
 	for i := range ts.shards {
 		next <- i
@@ -219,6 +240,20 @@ func (ts *TileSet) Freeze() {
 	}
 	wg.Wait()
 	ts.frozen.Store(true)
+}
+
+// Reset empties the set for a new count with quality threshold qc,
+// frozen or not, keeping every table's capacity: a caller counting many
+// similar read batches one after another reuses one set instead of
+// growing fresh tables for each. Slices PrefixRange returned before the
+// reset alias the reused tables and are invalid after it. Reset must not
+// run concurrently with any other use of the set.
+func (ts *TileSet) Reset(qc byte) {
+	ts.Qc = qc
+	for i := range ts.shards {
+		ts.shards[i].m.reset()
+	}
+	ts.frozen.Store(false)
 }
 
 // Get returns the counts for a packed tile (zero counts if unseen): a

@@ -429,3 +429,62 @@ func TestTileSetFreezeAllocatesOnlyBuckets(t *testing.T) {
 		}
 	}
 }
+
+// TestTileSetResetReuse: a reset set, frozen or not, counts the next
+// batch exactly as a fresh set would — same Size, Og histogram, Get and
+// PrefixRange answers — and a serial set refilled with a batch of the
+// same size grows no table and freezes into its old bucket table.
+func TestTileSetResetReuse(t *testing.T) {
+	first, second := mixedQualityReads(t, 3000), randomReads(t, 1500)
+	const k, overlap = 8, 3
+	for _, workers := range []int{1, 2} {
+		for _, frozen := range []bool{true, false} {
+			ts, err := CountTiles(first, k, overlap, 25, BuildOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if frozen {
+				ts.Freeze()
+			}
+			ts.Reset(30)
+			ts.Add(second)
+			ts.Freeze()
+			want, err := CountTiles(second, k, overlap, 30, BuildOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Freeze()
+			if ts.Qc != 30 || ts.Size() != want.Size() || !slices.Equal(ts.OgHistogram(255), want.OgHistogram(255)) {
+				t.Fatalf("workers=%d frozen=%v: the reset set counted Size %d, fresh %d", workers, frozen, ts.Size(), want.Size())
+			}
+			tail := 2 * uint(k-overlap)
+			want.forEach(func(tile seq.Kmer, c TileCount) {
+				if got := ts.Get(tile); got != c {
+					t.Fatalf("workers=%d frozen=%v: Get(%v) = %+v, fresh %+v", workers, frozen, tile, got, c)
+				}
+				if !slices.Equal(ts.PrefixRange(tile>>tail), want.PrefixRange(tile>>tail)) {
+					t.Fatalf("workers=%d frozen=%v: PrefixRange(%v) differs from a fresh set's", workers, frozen, tile>>tail)
+				}
+			})
+		}
+	}
+
+	ts, err := CountTiles(second, k, overlap, 25, BuildOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.Freeze()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ts.Reset(25)
+	ts.Add(second)
+	ts.Freeze()
+	runtime.ReadMemStats(&after)
+	// Add's per-call scratch is a few words and one read's tiles; the
+	// tables alone are 16 bytes a slot.
+	const slack = 8 << 10
+	if allocated, table := after.TotalAlloc-before.TotalAlloc, uint64(ts.Size())*16; allocated > slack || table < 4*slack {
+		t.Errorf("Reset, Add and Freeze of a same-size batch allocated %d bytes; its table holds %d", allocated, table)
+	}
+}

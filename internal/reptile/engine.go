@@ -259,6 +259,5 @@ func (reptileEngine) NewService(run *engine.Run) (engine.ChunkCorrector, error) 
 type chunkService struct{ svc *Service }
 
 func (s chunkService) CorrectChunk(ctx context.Context, reads []seq.Read, workers int) ([]seq.Read, error) {
-	out, _, err := s.svc.CorrectChunkCtx(ctx, reads, workers)
-	return out, err
+	return s.svc.CorrectReads(ctx, reads, workers)
 }

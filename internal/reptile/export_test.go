@@ -14,5 +14,5 @@ var CheckMutantOracle = checkMutantOracle
 // ChunkCorrector resolves the Corrector a Service would correct reads
 // with, without correcting them.
 func (s *Service) ChunkCorrector(reads []seq.Read) (*Corrector, error) {
-	return s.chunkCorrector(context.Background(), reads)
+	return s.chunkCorrector(context.Background(), reads, nil)
 }

@@ -3,6 +3,7 @@ package reptile
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/kspectrum"
 	"repro/internal/seq"
@@ -29,6 +30,54 @@ type Service struct {
 	// spec/ni nil.
 	backend kspectrum.SpectrumBackend
 	neigh   kspectrum.NeighborSource
+
+	// tiles holds the tile sets of finished CorrectReads requests.
+	tiles tilePool
+}
+
+// tilePool keeps the tile sets of finished requests for later ones, so a
+// daemon in steady state counts each chunk into tables it already owns
+// instead of growing fresh ones: a 500-read chunk's tables are about a
+// megabyte, and allocating them per request multiplied the collector's
+// cycles with the request rate.
+type tilePool struct {
+	mu   sync.Mutex
+	sets []*kspectrum.TileSet
+}
+
+const (
+	// pooledTileSets bounds how many idle sets a service keeps.
+	pooledTileSets = 8
+	// maxPooledTiles drops sets grown by a chunk of more than a few
+	// thousand reads rather than holding their tables, up to 4 MB each,
+	// for the service's lifetime.
+	maxPooledTiles = 1 << 17
+)
+
+// get returns an idle set, or nil when there is none.
+func (tp *tilePool) get() *kspectrum.TileSet {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	n := len(tp.sets)
+	if n == 0 {
+		return nil
+	}
+	ts := tp.sets[n-1]
+	tp.sets[n-1] = nil
+	tp.sets = tp.sets[:n-1]
+	return ts
+}
+
+// put returns a set no request uses any more.
+func (tp *tilePool) put(ts *kspectrum.TileSet) {
+	if ts.Size() > maxPooledTiles {
+		return
+	}
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	if len(tp.sets) < pooledTileSets {
+		tp.sets = append(tp.sets, ts)
+	}
 }
 
 // NewService validates the parameters against the preloaded spectrum and
@@ -164,7 +213,7 @@ func (s *Service) CorrectChunk(reads []seq.Read, workers int) ([]seq.Read, *Corr
 // the correction worker pool promptly and returns ctx.Err(), so a
 // dropped request aborts its correction work.
 func (s *Service) CorrectChunkCtx(ctx context.Context, reads []seq.Read, workers int) ([]seq.Read, *Corrector, error) {
-	c, err := s.chunkCorrector(ctx, reads)
+	c, err := s.chunkCorrector(ctx, reads, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -175,10 +224,28 @@ func (s *Service) CorrectChunkCtx(ctx context.Context, reads []seq.Read, workers
 	return out, c, nil
 }
 
+// CorrectReads is CorrectChunkCtx for callers that need only the
+// corrected reads — a daemon's requests. Because no Corrector escapes,
+// the chunk's tile set goes back to the service when the correction
+// returns and a later request counts into the same tables. The output is
+// identical to CorrectChunkCtx's.
+func (s *Service) CorrectReads(ctx context.Context, reads []seq.Read, workers int) ([]seq.Read, error) {
+	c, err := s.chunkCorrector(ctx, reads, s.tiles.get())
+	if err != nil {
+		return nil, err
+	}
+	// CorrectAllCtx has joined all of its workers when it returns, so
+	// nothing reads the tiles after this.
+	defer s.tiles.put(c.Tiles)
+	return c.CorrectAllCtx(ctx, reads, workers)
+}
+
 // chunkCorrector resolves one chunk's Corrector: Qc, the chunk's frozen
 // tile counts and the thresholds derived from them, over the shared
-// spectrum and the service's query seam bound to ctx.
-func (s *Service) chunkCorrector(ctx context.Context, reads []seq.Read) (*Corrector, error) {
+// spectrum and the service's query seam bound to ctx. The tiles are
+// counted into reuse, emptied first, when it is not nil; otherwise into
+// a new set.
+func (s *Service) chunkCorrector(ctx context.Context, reads []seq.Read, reuse *kspectrum.TileSet) (*Corrector, error) {
 	p := s.p
 	if p.Qc == 0 {
 		p.Qc = kspectrum.QualityQuantile(reads, 0.17)
@@ -186,9 +253,15 @@ func (s *Service) chunkCorrector(ctx context.Context, reads []seq.Read) (*Correc
 	}
 	// One request's tiles are counted serially into a single shard: the
 	// daemon already runs requests side by side.
-	tiles, err := kspectrum.CountTiles(nil, p.K, p.Overlap, p.Qc, kspectrum.BuildOptions{Workers: 1})
-	if err != nil {
-		return nil, err
+	tiles := reuse
+	if tiles != nil {
+		tiles.Reset(p.Qc)
+	} else {
+		var err error
+		tiles, err = kspectrum.CountTiles(nil, p.K, p.Overlap, p.Qc, kspectrum.BuildOptions{Workers: 1})
+		if err != nil {
+			return nil, err
+		}
 	}
 	prepared := make([]seq.Read, len(reads))
 	for i, r := range reads {
